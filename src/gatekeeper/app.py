@@ -9,7 +9,7 @@ fully published snapshot and never block writers.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -25,7 +25,7 @@ from .engine import (
     principal_for,
     visible_menu,
 )
-from .errors import GatekeeperError, InvalidId, UnknownUser
+from .errors import GatekeeperError, UnknownUser
 from .model import (
     AccessLevel,
     PolicyConfig,
@@ -37,7 +37,6 @@ from .model import (
     UserRecord,
     UserStatus,
     find_user,
-    user_id_syntax_error,
 )
 from .store import (
     AuditEntry,
@@ -103,35 +102,28 @@ class Gatekeeper:
         """Create a fresh store holding its first administrator.
 
         Nothing in the access model can mint the first administrator, so
-        bootstrap builds the record directly and audits it as 'system'.
+        bootstrap builds the record itself, audited as 'system', and commits
+        it through the same writer path as every other mutation.
         When no password is supplied a random one is generated; either way
         it is handed back for explicit echo to the operator.
         """
-        clock = clock or system_clock
-        now = clock()
         if password is None:
             password = generate_password()
-        directory.check_password_strength(password)
-        syntax_error = user_id_syntax_error(admin_id)
-        if syntax_error:
-            raise InvalidId(syntax_error)
-        admin = directory.build_user_record(
-            admin_id,
-            password,
-            Role.ADMINISTRATOR,
-            hint_question,
-            hint_answer,
-            created_by="system",
-            status=UserStatus.ACTIVE,
-            now=now,
-            digest_cost=digest_cost,
-        )
-        doc = StoreDocument(config=config or PolicyConfig(), users=(admin,))
-        gk = cls(doc, store_path=store_path, clock=clock, digest_cost=digest_cost)
-        entry = AuditEntry(actor="system", kind="user_created", detail={"user_id": admin_id, "role": "administrator"})
-        gk.audit.append(entry, now)
-        if gk.store_path:
-            save(doc, gk.store_path)
+
+        def add_first_admin(doc: StoreDocument, now: datetime):
+            directory.check_password_strength(password)
+            directory.check_new_id(doc, admin_id)
+            admin = directory.build_user_record(
+                admin_id, password, Role.ADMINISTRATOR, hint_question, hint_answer,
+                created_by="system", status=UserStatus.ACTIVE, now=now, digest_cost=digest_cost,
+            )
+            detail = {"user_id": admin_id, "role": "administrator"}
+            return replace(doc, users=(admin,)), admin, AuditEntry(actor="system", kind="user_created", detail=detail)
+
+        # The empty starting snapshot is never saved: it holds no administrator.
+        empty = StoreDocument(config=config or PolicyConfig())
+        gk = cls(empty, store_path=store_path, clock=clock, digest_cost=digest_cost)
+        admin = gk._apply(add_first_admin)
         return BootstrapResult(gatekeeper=gk, admin=admin, password=password)
 
     @classmethod
@@ -154,10 +146,6 @@ class Gatekeeper:
     @property
     def config(self) -> PolicyConfig:
         return self._doc.config
-
-    def save(self) -> None:
-        if self.store_path:
-            save(self._doc, self.store_path)
 
     def _apply(self, mutate: Callable[[StoreDocument, datetime], sessions.SessionOutcome]):
         """Run one serialized mutation.

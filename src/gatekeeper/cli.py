@@ -29,17 +29,9 @@ from .credentials import DEFAULT_COST
 from .engine import ANONYMOUS, Principal
 from .errors import GatekeeperError
 from .model import AccessLevel, DataClass, MenuGroup, PolicyConfig, Resource, Role, SelfRegistrationMode, UserStatus
-from .store import format_instant, parse_instant
+from .store import event_to_wire, format_instant, grant_to_wire, parse_instant, resource_to_wire, session_to_wire
 from .web import make_server
-from .wire import (
-    audit_wire,
-    decision_wire,
-    menu_wire,
-    public_grant,
-    public_resource,
-    public_session,
-    public_user,
-)
+from .wire import decision_wire, menu_wire, public_user
 
 STORE_ENV = "GATEKEEPER_STORE"
 PASSWORD_ENV = "GATEKEEPER_PASSWORD"
@@ -101,20 +93,23 @@ def _auth_password(ctx: Ctx, label: str) -> str:
     return _prompt_secret(f"password for {label}: ")
 
 
-@contextlib.contextmanager
-def _admin_session(gk: Gatekeeper, ctx: Ctx, as_user: str | None) -> Iterator[Principal]:
-    """Log in the acting administrator, yield their principal, log out."""
-    if not as_user:
-        raise UsageError("--as <user_id> is required for this command")
-    session = gk.login(as_user, _auth_password(ctx, as_user))
-    try:
-        yield gk.resolve(session.token)
-    finally:
-        gk.logout(session.token)
-
-
 def _open(ctx: Ctx) -> Gatekeeper:
     return Gatekeeper.open(ctx.store_path, clock=ctx.clock, digest_cost=ctx.digest_cost)
+
+
+@contextlib.contextmanager
+def _as_admin(args, ctx: Ctx) -> Iterator[tuple[Gatekeeper, Principal]]:
+    """Take the store lock, open the store and log in the acting
+    administrator; yield the engine and their principal, then log out."""
+    with _store_lock(ctx.store_path):
+        gk = _open(ctx)
+        if not args.as_user:
+            raise UsageError("--as <user_id> is required for this command")
+        session = gk.login(args.as_user, _auth_password(ctx, args.as_user))
+        try:
+            yield gk, gk.resolve(session.token)
+        finally:
+            gk.logout(session.token)
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +150,12 @@ def cmd_bootstrap(args, ctx: Ctx) -> int:
 
 
 def cmd_user_add(args, ctx: Ctx) -> int:
-    with _store_lock(ctx.store_path):
-        gk = _open(ctx)
-        password = args.password if args.password is not None else _prompt_secret(f"password for {args.user_id}: ")
-        with _admin_session(gk, ctx, args.as_user) as actor:
-            record = gk.create_user(
-                actor, args.user_id, password, Role(args.role),
-                args.hint_question, args.hint_answer,
-            )
+    password = args.password if args.password is not None else _prompt_secret(f"password for {args.user_id}: ")
+    with _as_admin(args, ctx) as (gk, actor):
+        record = gk.create_user(
+            actor, args.user_id, password, Role(args.role),
+            args.hint_question, args.hint_answer,
+        )
     ctx.emit(
         f"created user '{record.user_id}' ({record.role.value}, {record.status.value})",
         public_user(record),
@@ -171,31 +164,25 @@ def cmd_user_add(args, ctx: Ctx) -> int:
 
 
 def cmd_user_list(args, ctx: Ctx) -> int:
-    with _store_lock(ctx.store_path):
-        gk = _open(ctx)
-        role = Role(args.role) if args.role else None
-        status = UserStatus(args.status) if args.status else None
-        with _admin_session(gk, ctx, args.as_user) as actor:
-            users = gk.list_users(actor, role, status)
+    role = Role(args.role) if args.role else None
+    status = UserStatus(args.status) if args.status else None
+    with _as_admin(args, ctx) as (gk, actor):
+        users = gk.list_users(actor, role, status)
     lines = [f"{u.user_id}  {u.role.value}  {u.status.value}" for u in users]
     ctx.emit("\n".join(lines) if lines else "(no users)", {"users": [public_user(u) for u in users]})
     return 0
 
 
 def cmd_user_set_role(args, ctx: Ctx) -> int:
-    with _store_lock(ctx.store_path):
-        gk = _open(ctx)
-        with _admin_session(gk, ctx, args.as_user) as actor:
-            record = gk.set_role(actor, args.user_id, Role(args.role))
+    with _as_admin(args, ctx) as (gk, actor):
+        record = gk.set_role(actor, args.user_id, Role(args.role))
     ctx.emit(f"user '{record.user_id}' role is now {record.role.value}", public_user(record))
     return 0
 
 
 def _set_status(args, ctx: Ctx, status: UserStatus) -> int:
-    with _store_lock(ctx.store_path):
-        gk = _open(ctx)
-        with _admin_session(gk, ctx, args.as_user) as actor:
-            record = gk.set_status(actor, args.user_id, status)
+    with _as_admin(args, ctx) as (gk, actor):
+        record = gk.set_status(actor, args.user_id, status)
     ctx.emit(f"user '{record.user_id}' is now {record.status.value}", public_user(record))
     return 0
 
@@ -210,38 +197,32 @@ def cmd_user_disable(args, ctx: Ctx) -> int:
 
 def cmd_grant_add(args, ctx: Ctx) -> int:
     expiry = parse_instant(args.expires) if args.expires else None
-    with _store_lock(ctx.store_path):
-        gk = _open(ctx)
-        with _admin_session(gk, ctx, args.as_user) as actor:
-            grant = gk.grant_special(actor, args.user_id, args.resource_id, AccessLevel(args.level), expiry)
+    with _as_admin(args, ctx) as (gk, actor):
+        grant = gk.grant_special(actor, args.user_id, args.resource_id, AccessLevel(args.level), expiry)
     until = format_instant(grant.expiry) if grant.expiry else "revoked"
     ctx.emit(
         f"grant {grant.grant_id}: '{grant.user_id}' may {grant.level.value} '{grant.resource_id}' until {until}",
-        public_grant(grant),
+        grant_to_wire(grant),
     )
     return 0
 
 
 def cmd_grant_revoke(args, ctx: Ctx) -> int:
-    with _store_lock(ctx.store_path):
-        gk = _open(ctx)
-        with _admin_session(gk, ctx, args.as_user) as actor:
-            gk.revoke_grant(actor, args.grant_id)
+    with _as_admin(args, ctx) as (gk, actor):
+        gk.revoke_grant(actor, args.grant_id)
     ctx.emit(f"grant {args.grant_id} revoked", {"revoked": args.grant_id})
     return 0
 
 
 def cmd_grant_list(args, ctx: Ctx) -> int:
-    with _store_lock(ctx.store_path):
-        gk = _open(ctx)
-        with _admin_session(gk, ctx, args.as_user) as actor:
-            grants = gk.list_grants(actor)
+    with _as_admin(args, ctx) as (gk, actor):
+        grants = gk.list_grants(actor)
     lines = [
         f"{g.grant_id}  {g.user_id}  {g.resource_id}  {g.level.value}  "
         f"{format_instant(g.expiry) if g.expiry else 'never'}"
         for g in grants
     ]
-    ctx.emit("\n".join(lines) if lines else "(no grants)", {"grants": [public_grant(g) for g in grants]})
+    ctx.emit("\n".join(lines) if lines else "(no grants)", {"grants": [grant_to_wire(g) for g in grants]})
     return 0
 
 
@@ -259,13 +240,11 @@ def cmd_resource_add(args, ctx: Ctx) -> int:
         required_level=level,
         description=args.description,
     )
-    with _store_lock(ctx.store_path):
-        gk = _open(ctx)
-        with _admin_session(gk, ctx, args.as_user) as actor:
-            gk.add_resource(actor, resource)
+    with _as_admin(args, ctx) as (gk, actor):
+        gk.add_resource(actor, resource)
     ctx.emit(
         f"resource '{resource.resource_id}' added to {resource.menu_group.value}",
-        public_resource(resource),
+        resource_to_wire(resource),
     )
     return 0
 
@@ -279,7 +258,7 @@ def cmd_resource_list(args, ctx: Ctx) -> int:
     ]
     ctx.emit(
         "\n".join(lines) if lines else "(no resources)",
-        {"resources": [public_resource(r) for r in resources]},
+        {"resources": [resource_to_wire(r) for r in resources]},
     )
     return 0
 
@@ -313,7 +292,7 @@ def cmd_login(args, ctx: Ctx) -> int:
         session = gk.login(args.user_id, password)
     ctx.emit(
         f"token: {session.token}\nexpires: {format_instant(session.expires_at)}",
-        public_session(session),
+        session_to_wire(session),
     )
     return 0
 
@@ -357,7 +336,7 @@ def cmd_audit_tail(args, ctx: Ctx) -> int:
     for event in events:
         detail = " ".join(f"{k}={v}" for k, v in sorted(event.detail.items()))
         lines.append(f"[{event.seq}] {format_instant(event.at)} {event.actor} {event.kind} {detail}".rstrip())
-    ctx.emit("\n".join(lines) if lines else "(no events)", {"events": [audit_wire(e) for e in events]})
+    ctx.emit("\n".join(lines) if lines else "(no events)", {"events": [event_to_wire(e) for e in events]})
     return 0
 
 

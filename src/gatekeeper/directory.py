@@ -45,6 +45,7 @@ from .model import (
     find_grant,
     find_resource,
     find_user,
+    replace_user,
     user_id_syntax_error,
 )
 from .store import AuditEntry, format_instant
@@ -77,7 +78,9 @@ def validate_user_id(doc: StoreDocument, candidate: str) -> IdCheck:
     return IdCheck(IdAvailability.AVAILABLE)
 
 
-def _require_admin(actor: Principal) -> None:
+def require_admin(actor: Principal) -> None:
+    """Raise NotAuthorized unless ``actor`` is an authenticated, active
+    administrator."""
     if (
         actor.kind is not PrincipalKind.AUTHENTICATED
         or actor.role is not Role.ADMINISTRATOR
@@ -86,7 +89,8 @@ def _require_admin(actor: Principal) -> None:
         raise NotAuthorized()
 
 
-def _check_new_id(doc: StoreDocument, user_id: str) -> None:
+def check_new_id(doc: StoreDocument, user_id: str) -> None:
+    """Raise InvalidId or IdAlreadyExists unless ``user_id`` is free to take."""
     check = validate_user_id(doc, user_id)
     if check.availability is IdAvailability.INVALID:
         raise InvalidId(check.reason)
@@ -139,8 +143,8 @@ def create_user(
     The new record is always Active.  Creating a second administrator is
     refused unless the multi-admin policy is enabled.
     """
-    _require_admin(actor)
-    _check_new_id(doc, user_id)
+    require_admin(actor)
+    check_new_id(doc, user_id)
     if role not in (Role.GUEST, Role.STAFF, Role.MANAGER, Role.ADMINISTRATOR):
         raise InvalidArgument("new users must be guest, staff, manager or administrator")
     if role is Role.ADMINISTRATOR and not doc.config.multi_admin and active_admin_count(doc) >= 1:
@@ -178,7 +182,7 @@ def self_register(
     mode = doc.config.self_registration
     if mode is SelfRegistrationMode.DISABLED:
         raise SelfRegistrationDisabled()
-    _check_new_id(doc, user_id)
+    check_new_id(doc, user_id)
     check_password_strength(password)
     status = UserStatus.ACTIVE if mode is SelfRegistrationMode.AUTO_GUEST else UserStatus.PENDING
     record = build_user_record(
@@ -192,11 +196,6 @@ def self_register(
         detail={"user_id": user_id, "status": status.value},
     )
     return new_doc, record, entry
-
-
-def _swap_user(doc: StoreDocument, updated: UserRecord) -> StoreDocument:
-    users = tuple(updated if u.user_id == updated.user_id else u for u in doc.users)
-    return replace(doc, users=users)
 
 
 def _is_sole_active_admin(doc: StoreDocument, user: UserRecord) -> bool:
@@ -220,7 +219,7 @@ def set_role(
     the store).  Assigning a role to a pending self-registration activates
     the account.
     """
-    _require_admin(actor)
+    require_admin(actor)
     target = find_user(doc, user_id)
     if target is None:
         raise UnknownUser(f"no such user: '{user_id}'")
@@ -246,7 +245,7 @@ def set_role(
         kind="role_changed",
         detail={"user_id": target.user_id, "from": target.role.value, "to": new_role.value},
     )
-    return _swap_user(doc, updated), updated, entry
+    return replace_user(doc, updated), updated, entry
 
 
 def set_status(
@@ -261,7 +260,7 @@ def set_status(
     Disabling the last active administrator is refused.  Enabling an account
     also clears any recovery lockout.
     """
-    _require_admin(actor)
+    require_admin(actor)
     if new_status is UserStatus.PENDING:
         raise InvalidArgument("pending arises only from self-registration")
     target = find_user(doc, user_id)
@@ -276,7 +275,7 @@ def set_status(
         kind="status_changed",
         detail={"user_id": target.user_id, "from": target.status.value, "to": new_status.value},
     )
-    return _swap_user(doc, updated), updated, entry
+    return replace_user(doc, updated), updated, entry
 
 
 _GRANT_ID_RE = re.compile(r"^g(\d+)$")
@@ -307,7 +306,7 @@ def grant_special(
     instead of duplicating it.  The admin level is never grantable, and
     guests never receive write access.
     """
-    _require_admin(actor)
+    require_admin(actor)
     target = find_user(doc, user_id)
     if target is None:
         raise UnknownUser(f"no such user: '{user_id}'")
@@ -359,7 +358,7 @@ def revoke_grant(
     actor: Principal,
     grant_id: str,
 ) -> MutationResult:
-    _require_admin(actor)
+    require_admin(actor)
     grant = find_grant(doc, grant_id)
     if grant is None:
         raise UnknownGrant(f"no such grant: '{grant_id}'")
@@ -383,7 +382,7 @@ def list_users(
     Returned records still hold digests; every serialization boundary must
     go through the redacting wire form.
     """
-    _require_admin(actor)
+    require_admin(actor)
     selected = [
         u
         for u in doc.users
@@ -395,12 +394,12 @@ def list_users(
 
 def list_grants(doc: StoreDocument, actor: Principal) -> list[SpecialGrant]:
     """Grant listing (administrator only), in stable store order."""
-    _require_admin(actor)
+    require_admin(actor)
     return list(doc.grants)
 
 
 def add_resource(doc: StoreDocument, actor: Principal, resource: Resource) -> MutationResult:
-    _require_admin(actor)
+    require_admin(actor)
     if find_resource(doc, resource.resource_id) is not None:
         raise ResourceAlreadyExists()
     entry = AuditEntry(

@@ -1,9 +1,11 @@
 """Domain errors shared by every layer.
 
 Each error carries a stable machine-readable ``code`` that the CLI and the
-HTTP service use when rendering diagnostics.  Errors whose wording is part of
-an anti-enumeration contract (``AuthFailed``, ``RecoveryUnavailable``) accept
-no custom message, so their rendered form cannot vary with the internal cause.
+HTTP service use when rendering diagnostics, and the ``http_status`` the
+service answers it with (400 unless a class says otherwise).  Errors whose
+wording is part of an anti-enumeration contract (``AuthFailed``,
+``RecoveryUnavailable``) accept no custom message, so their rendered form
+cannot vary with the internal cause.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ class GatekeeperError(Exception):
     """Base class for every error raised by this package."""
 
     code = "error"
+    http_status = 400
     default_message = "operation failed"
 
     def __init__(self, message: str | None = None):
@@ -25,31 +28,37 @@ class GatekeeperError(Exception):
 
 class NotAuthorized(GatekeeperError):
     code = "not_authorized"
+    http_status = 403
     default_message = "this operation requires an active administrator"
 
 
 class UnknownUser(GatekeeperError):
     code = "unknown_user"
+    http_status = 404
     default_message = "no such user"
 
 
 class UnknownResource(GatekeeperError):
     code = "unknown_resource"
+    http_status = 404
     default_message = "no such resource"
 
 
 class UnknownGrant(GatekeeperError):
     code = "unknown_grant"
+    http_status = 404
     default_message = "no such grant"
 
 
 class IdAlreadyExists(GatekeeperError):
     code = "id_already_exists"
+    http_status = 409
     default_message = "user-id already exists; choose a different user-id"
 
 
 class ResourceAlreadyExists(GatekeeperError):
     code = "resource_already_exists"
+    http_status = 409
     default_message = "resource-id already exists; choose a different resource-id"
 
 
@@ -60,6 +69,7 @@ class InvalidId(GatekeeperError):
 
 class AdminCapExceeded(GatekeeperError):
     code = "admin_cap_exceeded"
+    http_status = 409
     default_message = "an active administrator already exists and multi-admin is disabled"
 
 
@@ -75,11 +85,13 @@ class SelfRegistrationDisabled(GatekeeperError):
 
 class SelfDemotionForbidden(GatekeeperError):
     code = "self_demotion_forbidden"
+    http_status = 409
     default_message = "the sole active administrator cannot give up the administrator role"
 
 
 class SelfDisableForbidden(GatekeeperError):
     code = "self_disable_forbidden"
+    http_status = 409
     default_message = "the sole active administrator cannot be disabled"
 
 
@@ -102,6 +114,7 @@ class AuthFailed(GatekeeperError):
     """Login failure.  Deliberately identical for every internal cause."""
 
     code = "auth_failed"
+    http_status = 401
     default_message = "invalid credentials"
 
     def __init__(self):
@@ -110,6 +123,7 @@ class AuthFailed(GatekeeperError):
 
 class InvalidToken(GatekeeperError):
     code = "invalid_token"
+    http_status = 401
     default_message = "invalid or expired session token"
 
     def __init__(self):
@@ -128,6 +142,7 @@ class PolicyForbidden(GatekeeperError):
 
 class HintMismatch(GatekeeperError):
     code = "hint_mismatch"
+    http_status = 401
     default_message = "the hint answer does not match"
 
 
@@ -135,6 +150,7 @@ class RecoveryUnavailable(GatekeeperError):
     """Recovery refusal.  Deliberately identical for every internal cause."""
 
     code = "recovery_unavailable"
+    http_status = 404
     default_message = "password recovery is not available for this user"
 
     def __init__(self):
@@ -143,11 +159,13 @@ class RecoveryUnavailable(GatekeeperError):
 
 class RecoveryLocked(GatekeeperError):
     code = "recovery_locked"
+    http_status = 401
     default_message = "password recovery is locked for this account; contact an administrator"
 
 
 class IoFailure(GatekeeperError):
     code = "io_failure"
+    http_status = 500
     default_message = "storage I/O failed"
 
 

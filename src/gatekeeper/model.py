@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 
 from .credentials import CredentialDigest
@@ -205,6 +205,8 @@ class UserRecord:
     def __post_init__(self):
         if self.role is Role.OUTSIDER:
             raise InvalidArgument("stored users cannot hold the outsider role")
+        if self.recovery_failures < 0:
+            raise InvalidArgument("recovery_failures must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -270,6 +272,12 @@ def find_user(doc: StoreDocument, user_id: str) -> UserRecord | None:
         if user.user_id.casefold() == folded:
             return user
     return None
+
+
+def replace_user(doc: StoreDocument, record: UserRecord) -> StoreDocument:
+    """``doc`` with the stored user of ``record``'s id swapped for ``record``."""
+    users = tuple(record if u.user_id == record.user_id else u for u in doc.users)
+    return replace(doc, users=users)
 
 
 def find_resource(doc: StoreDocument, resource_id: str) -> Resource | None:

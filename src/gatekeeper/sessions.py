@@ -26,8 +26,8 @@ from .credentials import (
     new_session_token,
     verify_hint_answer,
     verify_secret,
-    MIN_PASSWORD_LENGTH,
 )
+from .directory import check_password_strength
 from .engine import principal_for
 from .errors import (
     AuthFailed,
@@ -37,7 +37,6 @@ from .errors import (
     PolicyForbidden,
     RecoveryLocked,
     RecoveryUnavailable,
-    WeakPassword,
 )
 from .model import (
     Session,
@@ -46,6 +45,7 @@ from .model import (
     UserStatus,
     find_session,
     find_user,
+    replace_user,
 )
 from .store import AuditEntry
 
@@ -167,13 +167,11 @@ def change_password(
         raise PolicyForbidden()
     if not verify_secret(old_password, user.password_digest):
         raise OldPasswordMismatch()
-    if len(new_password) < MIN_PASSWORD_LENGTH:
-        raise WeakPassword()
+    check_password_strength(new_password)
     updated = replace(user, password_digest=make_digest(new_password, cost=digest_cost))
-    users = tuple(updated if u.user_id == user.user_id else u for u in doc.users)
     sessions = tuple(s for s in doc.sessions if s.user_id != user.user_id or s.token == token)
     entry = AuditEntry(actor=user.user_id, kind="password_changed", detail={"user_id": user.user_id})
-    return replace(doc, users=users, sessions=sessions), None, entry
+    return replace(replace_user(doc, updated), sessions=sessions), None, entry
 
 
 def _recovery_failed(user_id: str, cause: str) -> AuditEntry:
@@ -227,15 +225,13 @@ def recover_complete(
         return None, RecoveryLocked(), _recovery_failed(user_id, "locked")
     if not verify_hint_answer(hint_answer, user.hint_answer_digest):
         bumped = replace(user, recovery_failures=user.recovery_failures + 1)
-        users = tuple(bumped if u.user_id == user.user_id else u for u in doc.users)
-        return replace(doc, users=users), HintMismatch(), _recovery_failed(user_id, "hint_mismatch")
+        return replace_user(doc, bumped), HintMismatch(), _recovery_failed(user_id, "hint_mismatch")
 
     new_password = generate_password()
     updated = replace(user, password_digest=make_digest(new_password, cost=digest_cost), recovery_failures=0)
-    users = tuple(updated if u.user_id == user.user_id else u for u in doc.users)
     sessions = tuple(s for s in doc.sessions if s.user_id != user.user_id)
     entry = AuditEntry(actor="anonymous", kind="recovery_completed", detail={"user_id": user.user_id})
-    return replace(doc, users=users, sessions=sessions), new_password, entry
+    return replace(replace_user(doc, updated), sessions=sessions), new_password, entry
 
 
 def prune_expired_sessions(doc: StoreDocument, now: datetime) -> StoreDocument:

@@ -1,11 +1,12 @@
 """Durable state: JSON snapshot persistence and the append-only audit log.
 
-The store is a single JSON document written atomically (temp file + rename),
-validated against every domain invariant on both save and load.  The audit
-log is a sibling ``.audit.jsonl`` file, one JSON object per line with a
-strictly increasing sequence number; audit lines are written ahead of the
-snapshot they describe, so after a crash the audit is a superset of the
-persisted history.
+The store is a single JSON document written atomically (temp file + rename).
+The record constructors in ``model`` enforce the per-record invariants, so a
+record that breaks one cannot exist; :func:`validate_document` enforces the
+store-wide invariants on both save and load.  The audit log is a sibling
+``.audit.jsonl`` file, one JSON object per line with a strictly increasing
+sequence number; audit lines are written ahead of the snapshot they
+describe, so after a crash the audit is a superset of the persisted history.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def _user_to_wire(user: UserRecord) -> dict:
     }
 
 
-def _grant_to_wire(grant: SpecialGrant) -> dict:
+def grant_to_wire(grant: SpecialGrant) -> dict:
     return {
         "grant_id": grant.grant_id,
         "user_id": grant.user_id,
@@ -102,7 +103,7 @@ def _grant_to_wire(grant: SpecialGrant) -> dict:
     }
 
 
-def _resource_to_wire(resource: Resource) -> dict:
+def resource_to_wire(resource: Resource) -> dict:
     return {
         "resource_id": resource.resource_id,
         "display_name": resource.display_name,
@@ -113,7 +114,7 @@ def _resource_to_wire(resource: Resource) -> dict:
     }
 
 
-def _session_to_wire(session: Session) -> dict:
+def session_to_wire(session: Session) -> dict:
     return {
         "token": session.token,
         "user_id": session.user_id,
@@ -133,9 +134,9 @@ def document_to_wire(doc: StoreDocument) -> dict:
             "log_denials": doc.config.log_denials,
         },
         "users": [_user_to_wire(u) for u in doc.users],
-        "grants": [_grant_to_wire(g) for g in doc.grants],
-        "resources": [_resource_to_wire(r) for r in doc.resources],
-        "sessions": [_session_to_wire(s) for s in doc.sessions],
+        "grants": [grant_to_wire(g) for g in doc.grants],
+        "resources": [resource_to_wire(r) for r in doc.resources],
+        "sessions": [session_to_wire(s) for s in doc.sessions],
     }
 
 
@@ -218,8 +219,6 @@ def _user_from_wire(obj, index: int) -> UserRecord:
     where = f"users[{index}]"
     user = _want_object(obj, where)
     failures = _want_int(user, "recovery_failures", where) if "recovery_failures" in user else 0
-    if failures < 0:
-        raise _fail(where, "recovery_failures must be >= 0")
     return UserRecord(
         user_id=_want_str(user, "user_id", where),
         password_digest=_want_digest(user, "password_digest", where),
@@ -324,14 +323,14 @@ def document_from_wire(data) -> StoreDocument:
 
 
 def validate_document(doc: StoreDocument) -> None:
-    """Re-check every domain invariant; raise ValidationFailure listing all
-    violations found."""
+    """Check the invariants the record constructors leave to the store: the
+    version, user-id syntax and uniqueness, unique digest salts, the
+    administrator count, references between records, and session lifetimes.
+    Raise ValidationFailure listing all violations found."""
     problems: list[str] = []
 
     if doc.version != STORE_VERSION:
         problems.append(f"version must be {STORE_VERSION}")
-    if doc.config.session_ttl_seconds <= 0:
-        problems.append("session_ttl_seconds must be positive")
 
     seen_ids: dict[str, str] = {}
     seen_salts: set[bytes] = set()
@@ -343,14 +342,10 @@ def validate_document(doc: StoreDocument) -> None:
         if folded in seen_ids:
             problems.append(f"user-ids '{seen_ids[folded]}' and '{user.user_id}' collide under case-folding")
         seen_ids[folded] = user.user_id
-        if user.role is Role.OUTSIDER:
-            problems.append(f"user '{user.user_id}' holds the outsider role")
         for digest in (user.password_digest, user.hint_answer_digest):
             if digest.salt in seen_salts:
                 problems.append(f"user '{user.user_id}': digest salt is reused")
             seen_salts.add(digest.salt)
-        if user.recovery_failures < 0:
-            problems.append(f"user '{user.user_id}': negative recovery_failures")
 
     admins = [u for u in doc.users if u.role is Role.ADMINISTRATOR]
     if active_admin_count(doc) < 1:
@@ -366,10 +361,6 @@ def validate_document(doc: StoreDocument) -> None:
         if resource.resource_id in resource_ids:
             problems.append(f"duplicate resource_id '{resource.resource_id}'")
         resource_ids.add(resource.resource_id)
-        admin_group = resource.menu_group is MenuGroup.ADMIN_MENU
-        admin_level = resource.required_level is AccessLevel.ADMIN
-        if admin_group != admin_level:
-            problems.append(f"resource '{resource.resource_id}': admin level and admin menu must coincide")
 
     grant_ids: set[str] = set()
     grant_keys: set[tuple[str, str, AccessLevel]] = set()
@@ -377,8 +368,6 @@ def validate_document(doc: StoreDocument) -> None:
         if grant.grant_id in grant_ids:
             problems.append(f"duplicate grant_id '{grant.grant_id}'")
         grant_ids.add(grant.grant_id)
-        if grant.level is AccessLevel.ADMIN:
-            problems.append(f"grant '{grant.grant_id}' carries the admin level")
         key = (grant.user_id, grant.resource_id, grant.level)
         if key in grant_keys:
             problems.append(f"duplicate grant for {key}")

@@ -20,70 +20,16 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from .app import Gatekeeper
+from .directory import require_admin
 from .engine import ANONYMOUS, Principal
-from .errors import (
-    AdminCapExceeded,
-    AdminLevelNotGrantable,
-    AuthFailed,
-    GatekeeperError,
-    GuestWriteForbidden,
-    HintMismatch,
-    IdAlreadyExists,
-    InvalidArgument,
-    InvalidId,
-    InvalidToken,
-    IoFailure,
-    NotAuthorized,
-    OldPasswordMismatch,
-    PolicyForbidden,
-    RecoveryLocked,
-    RecoveryUnavailable,
-    ResourceAlreadyExists,
-    SelfDemotionForbidden,
-    SelfDisableForbidden,
-    SelfRegistrationDisabled,
-    UnknownGrant,
-    UnknownResource,
-    UnknownUser,
-    WeakPassword,
-)
-from .model import AccessLevel, Role, UserStatus
-from .store import parse_instant
-from .wire import (
-    audit_wire,
-    decision_wire,
-    menu_wire,
-    public_grant,
-    public_resource,
-    public_session,
-    public_user,
-)
+from .errors import GatekeeperError, InvalidArgument, InvalidToken, UnknownResource
+from .model import AccessLevel, Role, UserStatus, find_resource
+from .store import event_to_wire, grant_to_wire, parse_instant, resource_to_wire, session_to_wire
+from .wire import decision_wire, menu_wire, public_user
 
-_STATUS_BY_ERROR: dict[type, int] = {
-    InvalidArgument: 400,
-    InvalidId: 400,
-    WeakPassword: 400,
-    OldPasswordMismatch: 400,
-    PolicyForbidden: 400,
-    SelfRegistrationDisabled: 400,
-    AdminLevelNotGrantable: 400,
-    GuestWriteForbidden: 400,
-    AuthFailed: 401,
-    InvalidToken: 401,
-    HintMismatch: 401,
-    RecoveryLocked: 401,
-    NotAuthorized: 403,
-    UnknownUser: 404,
-    UnknownResource: 404,
-    UnknownGrant: 404,
-    RecoveryUnavailable: 404,
-    IdAlreadyExists: 409,
-    AdminCapExceeded: 409,
-    SelfDemotionForbidden: 409,
-    SelfDisableForbidden: 409,
-    ResourceAlreadyExists: 409,
-    IoFailure: 500,
-}
+#: Largest request body the socket server reads; longer ones get a 413.
+MAX_BODY_BYTES = 1 << 20
+_PAYLOAD_TOO_LARGE = {"error": "payload_too_large", "message": f"request body exceeds {MAX_BODY_BYTES} bytes"}
 
 
 @dataclass(frozen=True)
@@ -121,8 +67,7 @@ def _respond(status: int, payload: dict) -> HttpResponse:
 
 
 def _error_response(exc: GatekeeperError) -> HttpResponse:
-    status = _STATUS_BY_ERROR.get(type(exc), 400)
-    return _respond(status, {"error": exc.code, "message": exc.message})
+    return _respond(exc.http_status, {"error": exc.code, "message": exc.message})
 
 
 _PAGE_NOT_FOUND = {"error": "not_found", "message": "no such page"}
@@ -212,11 +157,14 @@ class PolicyService:
             return ANONYMOUS
         return self.gatekeeper.resolve(token)
 
-    def _authenticated(self, request: HttpRequest) -> Principal:
+    def _required_token(self, request: HttpRequest) -> str:
         token = self._token(request)
         if token is None:
             raise InvalidToken()
-        return self.gatekeeper.resolve(token)
+        return token
+
+    def _authenticated(self, request: HttpRequest) -> Principal:
+        return self.gatekeeper.resolve(self._required_token(request))
 
     @staticmethod
     def _parse_enum(enum_type, raw: str, what: str):
@@ -241,13 +189,10 @@ class PolicyService:
     def _login(self, request: HttpRequest) -> HttpResponse:
         body = self._body(request)
         session = self.gatekeeper.login(self._want(body, "user_id"), self._want(body, "password"))
-        return _respond(200, public_session(session))
+        return _respond(200, session_to_wire(session))
 
     def _logout(self, request: HttpRequest) -> HttpResponse:
-        token = self._token(request)
-        if token is None:
-            raise InvalidToken()
-        self.gatekeeper.logout(token)
+        self.gatekeeper.logout(self._required_token(request))
         return _respond(200, {"ok": True})
 
     def _menu(self, request: HttpRequest) -> HttpResponse:
@@ -273,8 +218,8 @@ class PolicyService:
         if not decision.allowed:
             # Denied and nonexistent pages answer identically.
             return _respond(404, _PAGE_NOT_FOUND)
-        resource = next(r for r in self.gatekeeper.snapshot.resources if r.resource_id == resource_id)
-        return _respond(200, public_resource(resource))
+        resource = find_resource(self.gatekeeper.snapshot, resource_id)
+        return _respond(200, resource_to_wire(resource))
 
     def _register(self, request: HttpRequest) -> HttpResponse:
         body = self._body(request)
@@ -287,9 +232,7 @@ class PolicyService:
         return _respond(201, public_user(record))
 
     def _password_change(self, request: HttpRequest) -> HttpResponse:
-        token = self._token(request)
-        if token is None:
-            raise InvalidToken()
+        token = self._required_token(request)
         body = self._body(request)
         self.gatekeeper.change_password(token, self._want(body, "old_password"), self._want(body, "new_password"))
         return _respond(200, {"ok": True})
@@ -353,7 +296,7 @@ class PolicyService:
             self._parse_enum(AccessLevel, self._want(body, "level"), "access level"),
             self._parse_expiry(body),
         )
-        return _respond(201, public_grant(grant))
+        return _respond(201, grant_to_wire(grant))
 
     def _admin_delete_grant(self, request: HttpRequest, grant_id: str) -> HttpResponse:
         actor = self._authenticated(request)
@@ -361,9 +304,7 @@ class PolicyService:
         return _respond(200, {"ok": True})
 
     def _admin_audit(self, request: HttpRequest) -> HttpResponse:
-        actor = self._authenticated(request)
-        if actor.role is not Role.ADMINISTRATOR or actor.status is not UserStatus.ACTIVE:
-            raise NotAuthorized()
+        require_admin(self._authenticated(request))
         since = until = None
         try:
             if "since" in request.query:
@@ -385,7 +326,7 @@ class PolicyService:
             until=until,
             limit=limit,
         )
-        return _respond(200, {"events": [audit_wire(e) for e in events]})
+        return _respond(200, {"events": [event_to_wire(e) for e in events]})
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +338,24 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def _dispatch(self):
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        request = HttpRequest.make(self.command, self.path, dict(self.headers.items()), body)
-        response = self.service.handle(request)
+        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        body = None
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            response = _error_response(InvalidArgument("Content-Length must be a non-negative integer"))
+        elif int(raw_length) > MAX_BODY_BYTES:
+            response = _respond(413, _PAYLOAD_TOO_LARGE)
+        else:
+            length = int(raw_length)
+            body = self.rfile.read(length) if length else b""
+            request = HttpRequest.make(self.command, self.path, dict(self.headers.items()), body)
+            response = self.service.handle(request)
         self.send_response(response.status)
         for name, value in response.headers.items():
             self.send_header(name, value)
+        if body is None:
+            # The body was never read; its bytes must not be parsed as the
+            # next request on this connection.
+            self.send_header("Connection", "close")
         self.send_header("Content-Length", str(len(response.body)))
         self.end_headers()
         self.wfile.write(response.body)

@@ -1,4 +1,9 @@
-"""Outward-facing JSON forms shared by the CLI and the HTTP service.
+"""Outward-facing JSON views that differ from the stored record forms.
+
+Grants, resources, sessions and audit events cross the CLI and HTTP
+boundary in their stored form (``store.grant_to_wire`` and its siblings).
+Only the views that differ live here: the redacted user record, and the
+decision and menu views derived from the engine's results.
 
 User records cross this boundary redacted: no digest bytes, no salts, no
 plaintext secrets ever appear in a serialized view.
@@ -7,9 +12,9 @@ plaintext secrets ever appear in a serialized view.
 from __future__ import annotations
 
 from .engine import Decision, MenuTree
-from .model import Resource, Session, SpecialGrant, UserRecord
+from .model import UserRecord
 from .sessions import RECOVERY_LOCK_THRESHOLD
-from .store import AuditEvent, event_to_wire, format_instant
+from .store import format_instant
 
 
 def public_user(user: UserRecord) -> dict:
@@ -21,38 +26,6 @@ def public_user(user: UserRecord) -> dict:
         "created_by": user.created_by,
         "created_at": format_instant(user.created_at),
         "recovery_locked": user.recovery_failures >= RECOVERY_LOCK_THRESHOLD,
-    }
-
-
-def public_grant(grant: SpecialGrant) -> dict:
-    return {
-        "grant_id": grant.grant_id,
-        "user_id": grant.user_id,
-        "resource_id": grant.resource_id,
-        "level": grant.level.value,
-        "expiry": format_instant(grant.expiry) if grant.expiry else None,
-        "granted_by": grant.granted_by,
-        "granted_at": format_instant(grant.granted_at),
-    }
-
-
-def public_resource(resource: Resource) -> dict:
-    return {
-        "resource_id": resource.resource_id,
-        "display_name": resource.display_name,
-        "data_class": resource.data_class.value,
-        "menu_group": resource.menu_group.value,
-        "required_level": resource.required_level.value,
-        "description": resource.description,
-    }
-
-
-def public_session(session: Session) -> dict:
-    return {
-        "token": session.token,
-        "user_id": session.user_id,
-        "issued_at": format_instant(session.issued_at),
-        "expires_at": format_instant(session.expires_at),
     }
 
 
@@ -78,7 +51,3 @@ def menu_wire(tree: MenuTree) -> dict:
             for group, items in tree.groups
         ]
     }
-
-
-def audit_wire(event: AuditEvent) -> dict:
-    return event_to_wire(event)

@@ -365,14 +365,20 @@ class TestServeCommand:
         import sys
         import time
         import urllib.request
+        from pathlib import Path
 
+        import gatekeeper
+
+        # The child imports the same gatekeeper package this test imported,
+        # whether or not it is installed.
+        package_root = str(Path(gatekeeper.__file__).resolve().parent.parent)
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
 
         process = subprocess.Popen(
             [sys.executable, "-m", "gatekeeper", "serve", "--bind", f"127.0.0.1:{port}"],
-            env={**booted, "PATH": "/usr/bin:/bin"},
+            env={**booted, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )

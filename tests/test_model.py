@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -21,6 +22,7 @@ from gatekeeper.model import (
 )
 
 from reference import BASELINE_TABLE, DOMINANCE_TABLE
+from worlds import make_user
 
 
 class TestRoleDominance:
@@ -116,6 +118,10 @@ class TestValueConstructors:
     def test_session_ttl_must_be_positive(self):
         with pytest.raises(InvalidArgument):
             PolicyConfig(session_ttl_seconds=0)
+
+    def test_recovery_failures_must_not_be_negative(self):
+        with pytest.raises(InvalidArgument):
+            replace(make_user("ann"), recovery_failures=-1)
 
     def test_exactly_five_roles_four_classes_three_levels(self):
         assert len(Role) == 5

@@ -283,6 +283,12 @@ class TestLoadRejections:
         with pytest.raises(ValidationFailure):
             load(self._write(tmp_path, wire))
 
+    def test_negative_recovery_failures(self, tmp_path):
+        wire = self._valid_wire()
+        wire["users"][1]["recovery_failures"] = -1
+        with pytest.raises(ValidationFailure):
+            load(self._write(tmp_path, wire))
+
     def test_unknown_enum_values(self, tmp_path):
         wire = self._valid_wire()
         wire["users"][0]["role"] = "wizard"

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.request
 
 import pytest
 
+from gatekeeper import errors
 from gatekeeper.model import AccessLevel, PolicyConfig, SelfRegistrationMode, UserStatus
-from gatekeeper.web import HttpRequest, PolicyService, make_server
+from gatekeeper.web import MAX_BODY_BYTES, HttpRequest, PolicyService, make_server
 from gatekeeper.wire import decision_wire
 
 from test_directory import fresh
@@ -391,6 +393,49 @@ class TestRouting:
             assert response.headers["Content-Type"] == "application/json"
 
 
+def _error_classes(base=errors.GatekeeperError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+# Every error class not listed here answers 400.
+_NON_400_STATUS = {
+    errors.AuthFailed: 401,
+    errors.InvalidToken: 401,
+    errors.HintMismatch: 401,
+    errors.RecoveryLocked: 401,
+    errors.NotAuthorized: 403,
+    errors.UnknownUser: 404,
+    errors.UnknownResource: 404,
+    errors.UnknownGrant: 404,
+    errors.RecoveryUnavailable: 404,
+    errors.IdAlreadyExists: 409,
+    errors.AdminCapExceeded: 409,
+    errors.SelfDemotionForbidden: 409,
+    errors.SelfDisableForbidden: 409,
+    errors.ResourceAlreadyExists: 409,
+    errors.IoFailure: 500,
+}
+
+
+class TestErrorStatuses:
+    @pytest.mark.parametrize(
+        "error_class", [errors.GatekeeperError, *_error_classes()], ids=lambda cls: cls.__name__
+    )
+    def test_each_error_renders_its_status_and_code(self, service, error_class):
+        def failing(request):
+            raise error_class()
+
+        service._routes = [
+            (method, pattern, failing if handler.__name__ == "_menu" else handler)
+            for method, pattern, handler in service._routes
+        ]
+        response = call(service, "GET", "/api/menu")
+        assert response.status == _NON_400_STATUS.get(error_class, 400)
+        assert response.json() == {"error": error_class.code, "message": error_class.default_message}
+
+
 class TestConcurrency:
     def test_concurrent_login_setrole_check(self, populated):
         service = PolicyService(populated)
@@ -466,26 +511,51 @@ class TestConcurrencyWithPersistence:
         assert {u.user_id for u in reloaded.users} == {"root", "alice"}
 
 
+@pytest.fixture
+def live_port(populated):
+    server = make_server(populated, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
 class TestLiveServer:
-    def test_serves_over_a_real_socket(self, populated):
-        server = make_server(populated, "127.0.0.1", 0)
-        port = server.server_address[1]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            with urllib.request.urlopen(f"http://127.0.0.1:{port}/api/menu") as response:
-                assert response.status == 200
-                groups = [g["group"] for g in json.loads(response.read())["groups"]]
-                assert groups == ["public_pages"]
-            request = urllib.request.Request(
-                f"http://127.0.0.1:{port}/api/login",
-                data=json.dumps({"user_id": "boss", "password": "password1"}).encode(),
-                method="POST",
-            )
-            with urllib.request.urlopen(request) as response:
-                assert response.status == 200
-                assert "token" in json.loads(response.read())
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+    def test_serves_over_a_real_socket(self, live_port):
+        with urllib.request.urlopen(f"http://127.0.0.1:{live_port}/api/menu") as response:
+            assert response.status == 200
+            groups = [g["group"] for g in json.loads(response.read())["groups"]]
+            assert groups == ["public_pages"]
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{live_port}/api/login",
+            data=json.dumps({"user_id": "boss", "password": "password1"}).encode(),
+            method="POST",
+        )
+        with urllib.request.urlopen(request) as response:
+            assert response.status == 200
+            assert "token" in json.loads(response.read())
+
+    @pytest.mark.parametrize(
+        "length, status, code",
+        [
+            ("abc", 400, "invalid_argument"),
+            ("-1", 400, "invalid_argument"),
+            (str(MAX_BODY_BYTES + 1), 413, "payload_too_large"),
+        ],
+        ids=["non-numeric", "negative", "over-cap"],
+    )
+    def test_bad_content_length_is_answered_and_closed(self, live_port, length, status, code):
+        request = f"POST /api/login HTTP/1.1\r\nHost: localhost\r\nContent-Length: {length}\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", live_port), timeout=5) as sock:
+            sock.sendall(request.encode("ascii"))
+            reply = b""
+            while chunk := sock.recv(65536):  # ends only when the server closes
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == str(status).encode()
+        assert b"connection: close" in head.lower()
+        assert json.loads(body)["error"] == code
