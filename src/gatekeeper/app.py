@@ -17,7 +17,6 @@ from typing import Callable
 from . import directory, sessions
 from .credentials import DEFAULT_COST, generate_password
 from .engine import (
-    ANONYMOUS,
     Decision,
     MenuTree,
     Principal,
@@ -41,7 +40,6 @@ from .model import (
 from .store import (
     AuditEntry,
     AuditEvent,
-    AuditLog,
     FileAuditLog,
     MemoryAuditLog,
     audit_path_for,
@@ -71,15 +69,12 @@ class Gatekeeper:
         document: StoreDocument,
         *,
         store_path: str | Path | None = None,
-        audit_log: AuditLog | None = None,
         clock: Clock | None = None,
         digest_cost: int = DEFAULT_COST,
     ):
         self._doc = document
         self.store_path = Path(store_path) if store_path is not None else None
-        if audit_log is None:
-            audit_log = FileAuditLog(audit_path_for(self.store_path)) if self.store_path else MemoryAuditLog()
-        self.audit = audit_log
+        self.audit = FileAuditLog(audit_path_for(self.store_path)) if self.store_path else MemoryAuditLog()
         self.clock = clock or system_clock
         self.digest_cost = digest_cost
         self._write_lock = threading.Lock()
@@ -147,14 +142,16 @@ class Gatekeeper:
     def config(self) -> PolicyConfig:
         return self._doc.config
 
-    def _apply(self, mutate: Callable[[StoreDocument, datetime], sessions.SessionOutcome]):
-        """Run one serialized mutation.
+    def _apply(self, mutate: Callable[[StoreDocument, datetime], directory.MutationResult]):
+        """Run one serialized mutation; the only place that appends to the
+        audit log or commits a snapshot.
 
         ``mutate`` returns (new snapshot or None, outcome, audit entry or
-        None).  The audit line is written before the snapshot; an outcome
-        that is an error is raised only after the new snapshot (if any) is
-        committed, which lets failure paths such as a hint mismatch still
-        advance their counters.
+        None).  The audit line is written before the snapshot.  A failure
+        that must also change state (a hint mismatch advances its counter, a
+        dead session is dropped) returns its error as the outcome, which is
+        raised after the new snapshot is committed; an unchanged snapshot is
+        not saved.
         """
         now = self.clock()
         with self._write_lock:
@@ -249,15 +246,13 @@ class Gatekeeper:
 
     # -- authentication ------------------------------------------------------
 
-    def login(self, user_id: str, password: str, now: datetime | None = None) -> Session:
+    def login(self, user_id: str, password: str) -> Session:
         return self._apply(
-            lambda doc, at: sessions.login(
-                doc, user_id, password, now=now or at, digest_cost=self.digest_cost
-            )
+            lambda doc, now: sessions.login(doc, user_id, password, now=now, digest_cost=self.digest_cost)
         )
 
-    def resolve(self, token: str, now: datetime | None = None) -> Principal:
-        return self._apply(lambda doc, at: sessions.resolve(doc, token, now=now or at))
+    def resolve(self, token: str) -> Principal:
+        return self._apply(lambda doc, now: sessions.resolve(doc, token, now=now))
 
     def logout(self, token: str) -> None:
         return self._apply(lambda doc, now: sessions.logout(doc, token))
@@ -281,27 +276,14 @@ class Gatekeeper:
 
     # -- decisions -----------------------------------------------------------
 
-    def decide(
-        self,
-        principal: Principal,
-        resource_id: str,
-        level: AccessLevel,
-        now: datetime | None = None,
-    ) -> Decision:
-        return decide(self._doc, principal, resource_id, level, now or self.clock())
+    def decide(self, principal: Principal, resource_id: str, level: AccessLevel) -> Decision:
+        return decide(self._doc, principal, resource_id, level, self.clock())
 
-    def check(
-        self,
-        principal: Principal,
-        resource_id: str,
-        level: AccessLevel,
-        now: datetime | None = None,
-    ) -> Decision:
+    def check(self, principal: Principal, resource_id: str, level: AccessLevel) -> Decision:
         """Like :meth:`decide`, but denials are written to the audit log when
         the policy asks for it.  This is the entry point the CLI and the
         HTTP service use for explicit access checks."""
-        at = now or self.clock()
-        decision = self.decide(principal, resource_id, level, at)
+        decision = self.decide(principal, resource_id, level)
         if not decision.allowed and self.config.log_denials:
             entry = AuditEntry(
                 actor=principal.user_id or "anonymous",
@@ -312,16 +294,11 @@ class Gatekeeper:
                     "reason": decision.reason.value,
                 },
             )
-            with self._write_lock:
-                self.audit.append(entry, at)
+            self._apply(lambda doc, now: (None, None, entry))
         return decision
 
-    def visible_menu(self, principal: Principal, now: datetime | None = None) -> MenuTree:
-        return visible_menu(self._doc, principal, now or self.clock())
-
-    def menu_for(self, user_id: str | None, now: datetime | None = None) -> MenuTree:
-        principal = self.principal_for(user_id) if user_id else ANONYMOUS
-        return self.visible_menu(principal, now)
+    def visible_menu(self, principal: Principal) -> MenuTree:
+        return visible_menu(self._doc, principal, self.clock())
 
     # -- audit ---------------------------------------------------------------
 

@@ -53,7 +53,6 @@ class UsageError(Exception):
 class Ctx:
     env: Mapping[str, str]
     stdout: IO[str]
-    stderr: IO[str]
     as_json: bool
     store_path: Path
     clock: Callable[[], datetime]
@@ -98,16 +97,22 @@ def _open(ctx: Ctx) -> Gatekeeper:
 
 
 @contextlib.contextmanager
-def _as_admin(args, ctx: Ctx) -> Iterator[tuple[Gatekeeper, Principal]]:
-    """Take the store lock, open the store and log in the acting
-    administrator; yield the engine and their principal, then log out."""
+def _locked(ctx: Ctx) -> Iterator[Gatekeeper]:
+    """Take the store lock, then open the store; for mutating commands."""
     with _store_lock(ctx.store_path):
-        gk = _open(ctx)
+        yield _open(ctx)
+
+
+@contextlib.contextmanager
+def _as_admin(args, ctx: Ctx) -> Iterator[tuple[Gatekeeper, Principal]]:
+    """Open the store under its lock and log in the acting administrator;
+    yield the engine and their principal, then log out."""
+    with _locked(ctx) as gk:
         if not args.as_user:
             raise UsageError("--as <user_id> is required for this command")
         session = gk.login(args.as_user, _auth_password(ctx, args.as_user))
         try:
-            yield gk, gk.resolve(session.token)
+            yield gk, gk.principal_for(session.user_id)
         finally:
             gk.logout(session.token)
 
@@ -275,7 +280,7 @@ def cmd_check(args, ctx: Ctx) -> int:
 
 def cmd_menu(args, ctx: Ctx) -> int:
     gk = _open(ctx)
-    tree = gk.menu_for(args.user)
+    tree = gk.visible_menu(gk.principal_for(args.user) if args.user else ANONYMOUS)
     lines = []
     for group, items in tree.groups:
         lines.append(f"[{group.value}]")
@@ -286,8 +291,7 @@ def cmd_menu(args, ctx: Ctx) -> int:
 
 
 def cmd_login(args, ctx: Ctx) -> int:
-    with _store_lock(ctx.store_path):
-        gk = _open(ctx)
+    with _locked(ctx) as gk:
         password = args.password if args.password is not None else _auth_password(ctx, args.user_id)
         session = gk.login(args.user_id, password)
     ctx.emit(
@@ -298,8 +302,7 @@ def cmd_login(args, ctx: Ctx) -> int:
 
 
 def cmd_passwd_change(args, ctx: Ctx) -> int:
-    with _store_lock(ctx.store_path):
-        gk = _open(ctx)
+    with _locked(ctx) as gk:
         if not args.as_user:
             raise UsageError("--as <user_id> is required for this command")
         old_password = _auth_password(ctx, args.as_user)
@@ -314,16 +317,14 @@ def cmd_passwd_change(args, ctx: Ctx) -> int:
 
 
 def cmd_passwd_recover_begin(args, ctx: Ctx) -> int:
-    with _store_lock(ctx.store_path):
-        gk = _open(ctx)
+    with _locked(ctx) as gk:
         question = gk.recover_begin(args.user_id)
     ctx.emit(f"hint question: {question}", {"hint_question": question})
     return 0
 
 
 def cmd_passwd_recover_complete(args, ctx: Ctx) -> int:
-    with _store_lock(ctx.store_path):
-        gk = _open(ctx)
+    with _locked(ctx) as gk:
         password = gk.recover_complete(args.user_id, args.answer)
     ctx.emit(f"new password: {password}", {"password": password})
     return 0
@@ -515,7 +516,6 @@ def execute(
             ctx = Ctx(
                 env=env,
                 stdout=out,
-                stderr=err,
                 as_json=args.json,
                 store_path=Path(store_arg),
                 clock=clock,

@@ -45,6 +45,7 @@ from .model import (
     find_grant,
     find_resource,
     find_user,
+    grants_for,
     replace_user,
     user_id_syntax_error,
 )
@@ -52,7 +53,8 @@ from .store import AuditEntry, format_instant
 
 SELF_REGISTRATION_ACTOR = "self-registration"
 
-MutationResult = tuple[StoreDocument, object, AuditEntry]
+# (new snapshot or None, outcome, audit entry or None); see Gatekeeper._apply.
+MutationResult = tuple[StoreDocument | None, object, AuditEntry | None]
 
 
 class IdAvailability(enum.Enum):
@@ -234,9 +236,7 @@ def set_role(
         raise AdminCapExceeded()
     if new_role is not Role.ADMINISTRATOR and _is_sole_active_admin(doc, target):
         raise SelfDemotionForbidden()
-    if new_role is Role.GUEST and any(
-        g.user_id == target.user_id and g.level is AccessLevel.WRITE for g in doc.grants
-    ):
+    if new_role is Role.GUEST and any(g.level is AccessLevel.WRITE for g in grants_for(doc, target.user_id)):
         raise GuestWriteForbidden("user holds write grants; revoke them before assigning the guest role")
     status = UserStatus.ACTIVE if target.status is UserStatus.PENDING else target.status
     updated = replace(target, role=new_role, status=status)
@@ -317,14 +317,7 @@ def grant_special(
     if level is AccessLevel.WRITE and target.role is Role.GUEST:
         raise GuestWriteForbidden()
 
-    existing = next(
-        (
-            g
-            for g in doc.grants
-            if g.user_id == target.user_id and g.resource_id == resource_id and g.level is level
-        ),
-        None,
-    )
+    existing = next((g for g in grants_for(doc, target.user_id, resource_id) if g.level is level), None)
     if existing is not None:
         updated = replace(existing, expiry=expiry, granted_by=actor.user_id, granted_at=now)
         grants = tuple(updated if g.grant_id == existing.grant_id else g for g in doc.grants)

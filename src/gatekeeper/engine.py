@@ -92,20 +92,20 @@ _ALLOW_REASONS = {DecisionReason.ADMIN_ROLE, DecisionReason.BASELINE, DecisionRe
 
 @dataclass(frozen=True)
 class Decision:
-    """An allow/deny verdict with the rule evaluations that produced it."""
+    """An allow/deny verdict, implied by its reason, with the rule
+    evaluations that produced it."""
 
-    verdict: Verdict
     reason: DecisionReason
     grant_id: str | None
     trace: tuple[str, ...]
 
-    def __post_init__(self):
-        if (self.reason in _ALLOW_REASONS) != (self.verdict is Verdict.ALLOW):
-            raise InvalidArgument("decision reason does not fit the verdict")
-
     @property
     def allowed(self) -> bool:
-        return self.verdict is Verdict.ALLOW
+        return self.reason in _ALLOW_REASONS
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.ALLOW if self.allowed else Verdict.DENY
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,11 @@ class MenuTree:
 
 
 def _allow(reason: DecisionReason, trace: list[str], grant_id: str | None = None) -> Decision:
-    return Decision(verdict=Verdict.ALLOW, reason=reason, grant_id=grant_id, trace=tuple(trace))
+    return Decision(reason=reason, grant_id=grant_id, trace=tuple(trace))
 
 
 def _deny(reason: DecisionReason, trace: list[str]) -> Decision:
-    return Decision(verdict=Verdict.DENY, reason=reason, grant_id=None, trace=tuple(trace))
+    return Decision(reason=reason, grant_id=None, trace=tuple(trace))
 
 
 def decide(

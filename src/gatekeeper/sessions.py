@@ -8,10 +8,11 @@ copy: the user's current role and status are re-resolved on every use, so
 role changes and disables take effect immediately.
 
 Operations follow the same snapshot-in, snapshot-out convention as the
-directory module.  Flows that must both change state and fail (a hint
-mismatch increments the failure counter, an expired token is pruned) return
-the error as the outcome value alongside the new snapshot, and the calling
-shell raises it after committing.
+directory module.  Flows that must both change state and fail return the
+error as the outcome value alongside the new snapshot, and the calling shell
+raises it after committing: a hint mismatch increments the failure counter,
+and a token that is unknown, expired, or whose user is missing or disabled
+has its session (if any) dropped before InvalidToken is raised.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .credentials import (
     verify_hint_answer,
     verify_secret,
 )
-from .directory import check_password_strength
+from .directory import MutationResult, check_password_strength
 from .engine import principal_for
 from .errors import (
     AuthFailed,
@@ -51,20 +52,10 @@ from .store import AuditEntry
 
 RECOVERY_LOCK_THRESHOLD = 5
 
-SessionOutcome = tuple[StoreDocument | None, object, AuditEntry | None]
-
-
-def _live_tokens(doc: StoreDocument) -> set[str]:
-    return {s.token for s in doc.sessions}
-
 
 def _issue_session(doc: StoreDocument, user: UserRecord, now: datetime) -> Session:
     ttl = timedelta(seconds=doc.config.session_ttl_seconds)
-    token = new_session_token()
-    live = _live_tokens(doc)
-    while token in live:  # CSPRNG collisions are absurd, but uniqueness is a contract
-        token = new_session_token()
-    return Session(token=token, user_id=user.user_id, issued_at=now, expires_at=now + ttl)
+    return Session(token=new_session_token(), user_id=user.user_id, issued_at=now, expires_at=now + ttl)
 
 
 def login(
@@ -74,7 +65,7 @@ def login(
     *,
     now: datetime,
     digest_cost: int,
-) -> SessionOutcome:
+) -> MutationResult:
     """Verify credentials and issue a session.
 
     Every failure surfaces as the same AuthFailed; the audit entry carries
@@ -103,41 +94,36 @@ def _login_failed(user_id: str, cause: str) -> AuditEntry:
 
 
 def _drop_session(doc: StoreDocument, token: str) -> StoreDocument:
-    return replace(doc, sessions=tuple(s for s in doc.sessions if s.token != token))
+    """``doc`` without the session of ``token``; ``doc`` itself if it has none."""
+    kept = tuple(s for s in doc.sessions if s.token != token)
+    return doc if len(kept) == len(doc.sessions) else replace(doc, sessions=kept)
 
 
-def _locate(
-    doc: StoreDocument, token: str, now: datetime
-) -> tuple[Session | None, UserRecord | None, StoreDocument | None]:
-    """Find a live session and its user.
-
-    Unknown tokens raise immediately.  A session that exists but is dead
-    (expired, or its user was disabled) returns a pruned snapshot in the
-    third slot so the caller can commit the removal before failing.
-    """
+def _locate(doc: StoreDocument, token: str, now: datetime) -> tuple[Session, UserRecord] | None:
+    """The live session of ``token`` and its user, or None when the token is
+    unknown or expired, or its user is missing or disabled."""
     session = find_session(doc, token)
-    if session is None:
-        raise InvalidToken()
-    if now > session.expires_at:
-        return None, None, _drop_session(doc, token)
+    if session is None or now > session.expires_at:
+        return None
     user = find_user(doc, session.user_id)
     if user is None or user.status is UserStatus.DISABLED:
-        return None, None, _drop_session(doc, token)
-    return session, user, None
+        return None
+    return session, user
 
 
-def resolve(doc: StoreDocument, token: str, *, now: datetime) -> SessionOutcome:
+def resolve(doc: StoreDocument, token: str, *, now: datetime) -> MutationResult:
     """Resolve a token to a principal carrying the user's current role and
     status; a successful resolve slides the expiry forward to now + TTL."""
-    session, user, pruned = _locate(doc, token, now)
-    if pruned is not None:
-        return pruned, InvalidToken(), None
+    located = _locate(doc, token, now)
+    if located is None:
+        return _drop_session(doc, token), InvalidToken(), None
+    session, user = located
     extended = replace(session, expires_at=now + timedelta(seconds=doc.config.session_ttl_seconds))
     sessions = tuple(extended if s.token == token else s for s in doc.sessions)
     return replace(doc, sessions=sessions), principal_for(user), None
 
 
-def logout(doc: StoreDocument, token: str) -> SessionOutcome:
+def logout(doc: StoreDocument, token: str) -> MutationResult:
     """Invalidate a token.  Idempotent: unknown tokens are a no-op."""
     session = find_session(doc, token)
     if session is None:
@@ -154,15 +140,16 @@ def change_password(
     *,
     now: datetime,
     digest_cost: int,
-) -> SessionOutcome:
+) -> MutationResult:
     """Self-service password change for the session's own user.
 
     The old password must verify; on success every other live session of
     the user is invalidated while the acting session stays usable.
     """
-    session, user, pruned = _locate(doc, token, now)
-    if pruned is not None:
-        return pruned, InvalidToken(), None
+    located = _locate(doc, token, now)
+    if located is None:
+        return _drop_session(doc, token), InvalidToken(), None
+    _, user = located
     if not doc.config.allow_self_password_change:
         raise PolicyForbidden()
     if not verify_secret(old_password, user.password_digest):
@@ -189,7 +176,7 @@ def _recoverable(user: UserRecord | None) -> str | None:
     return None
 
 
-def recover_begin(doc: StoreDocument, user_id: str) -> SessionOutcome:
+def recover_begin(doc: StoreDocument, user_id: str) -> MutationResult:
     """Start recovery: return the stored hint question for an active user.
 
     Unavailable outcomes (unknown user, non-active user, no hint on file)
@@ -210,7 +197,7 @@ def recover_complete(
     *,
     now: datetime,
     digest_cost: int,
-) -> SessionOutcome:
+) -> MutationResult:
     """Finish recovery: on a matching hint answer, issue a fresh random
     password (returned exactly once) and invalidate every live session.
 

@@ -30,6 +30,8 @@ from .wire import decision_wire, menu_wire, public_user
 #: Largest request body the socket server reads; longer ones get a 413.
 MAX_BODY_BYTES = 1 << 20
 _PAYLOAD_TOO_LARGE = {"error": "payload_too_large", "message": f"request body exceeds {MAX_BODY_BYTES} bytes"}
+#: Seconds a socket connection may stay idle, or stall mid-request, before it is closed.
+IDLE_TIMEOUT_S = 30
 
 
 @dataclass(frozen=True)
@@ -336,11 +338,14 @@ class PolicyService:
 class _Handler(BaseHTTPRequestHandler):
     service: PolicyService  # assigned by make_server
     protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_S
 
     def _dispatch(self):
         raw_length = (self.headers.get("Content-Length") or "0").strip()
         body = None
-        if not (raw_length.isascii() and raw_length.isdigit()):
+        if "Transfer-Encoding" in self.headers:
+            response = _error_response(InvalidArgument("Transfer-Encoding is not supported; send Content-Length"))
+        elif not (raw_length.isascii() and raw_length.isdigit()):
             response = _error_response(InvalidArgument("Content-Length must be a non-negative integer"))
         elif int(raw_length) > MAX_BODY_BYTES:
             response = _respond(413, _PAYLOAD_TOO_LARGE)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gatekeeper.app import Gatekeeper
@@ -79,3 +84,19 @@ class TestSnapshotIsolation:
         populated.set_role(admin, "staffer", Role.MANAGER)
         assert populated.snapshot is not first
         assert [u.role for u in first.users if u.user_id == "staffer"] == [Role.STAFF]
+
+
+class TestBenchmarkPatchTargets:
+    def test_tracer_installs_against_this_source(self):
+        """bench/tracer.py wraps package functions by module attribute; a
+        renamed or deleted target must fail here, not only in the benchmark."""
+        root = Path(__file__).resolve().parent.parent
+        script = "import sys; sys.path.insert(0, sys.argv[1]); import tracer; tracer.Recorder().install()"
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(root / "bench")],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr

@@ -213,7 +213,7 @@ class TestCheckAndMenu:
             code, out, _ = run(args, booted)
             assert code == 0
             principal = gk.principal_for(user) if user else ANONYMOUS
-            expected = decision_wire(gk.decide(principal, resource, AccessLevel(level), NOW))
+            expected = decision_wire(gk.decide(principal, resource, AccessLevel(level)))
             assert json.loads(out) == expected
 
     def test_check_unknown_resource_is_domain_error(self, booted):
@@ -398,6 +398,30 @@ class TestServeCommand:
         finally:
             process.terminate()
             process.wait(timeout=10)
+
+
+class TestStoreWrites:
+    @pytest.mark.parametrize(
+        "command, saves",
+        [
+            (["user", "add", "ann", "--role", "staff", "--password", "password1"], 3),  # login, create, logout
+            (["user", "list"], 2),  # login, logout
+        ],
+        ids=["user-add", "user-list"],
+    )
+    def test_admin_command_saves_once_per_commit(self, booted, monkeypatch, command, saves):
+        import gatekeeper.app as app
+
+        real_save, calls = app.save, []
+
+        def counting_save(doc, path):
+            calls.append(path)
+            real_save(doc, path)
+
+        monkeypatch.setattr(app, "save", counting_save)
+        code, _, err = run(admin_args(command), booted)
+        assert code == 0, err
+        assert len(calls) == saves
 
 
 class TestRedaction:

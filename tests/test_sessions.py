@@ -147,6 +147,27 @@ class TestResolve:
         with pytest.raises(InvalidToken):
             gk.resolve("no-such-token")
 
+    def test_unknown_token_on_a_file_store_saves_nothing(self, tmp_path, clock, monkeypatch):
+        import gatekeeper.app as app
+        from worlds import FAST_COST
+
+        gk = app.Gatekeeper.bootstrap(
+            "root", "rootpass1", store_path=tmp_path / "store.json", clock=clock, digest_cost=FAST_COST
+        ).gatekeeper
+        saves = []
+        monkeypatch.setattr(app, "save", lambda doc, path: saves.append(path))
+        with pytest.raises(InvalidToken):
+            gk.resolve("no-such-token")
+        assert saves == []
+
+    def test_disabled_users_session_is_dropped_on_resolve(self, populated, admin):
+        session = populated.login("staffer", "password1")
+        populated.set_status(admin, "staffer", UserStatus.DISABLED)
+        assert any(s.token == session.token for s in populated.snapshot.sessions)
+        with pytest.raises(InvalidToken):
+            populated.resolve(session.token)
+        assert all(s.token != session.token for s in populated.snapshot.sessions)
+
 
 class TestLogout:
     def test_logout_then_resolve_fails(self, populated):

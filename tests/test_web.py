@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import threading
+import time
 import urllib.request
 
 import pytest
 
-from gatekeeper import errors
+from gatekeeper import errors, web
 from gatekeeper.model import AccessLevel, PolicyConfig, SelfRegistrationMode, UserStatus
 from gatekeeper.web import MAX_BODY_BYTES, HttpRequest, PolicyService, make_server
 from gatekeeper.wire import decision_wire
@@ -511,9 +513,10 @@ class TestConcurrencyWithPersistence:
         assert {u.user_id for u in reloaded.users} == {"root", "alice"}
 
 
-@pytest.fixture
-def live_port(populated):
-    server = make_server(populated, "127.0.0.1", 0)
+@contextlib.contextmanager
+def serving(gatekeeper):
+    """Serve ``gatekeeper`` on a loopback port in a background thread."""
+    server = make_server(gatekeeper, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -522,6 +525,22 @@ def live_port(populated):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+@pytest.fixture
+def live_port(populated):
+    with serving(populated) as port:
+        yield port
+
+
+def exchange(port: int, request: bytes) -> bytes:
+    """Send raw bytes and read until the server closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
 
 
 class TestLiveServer:
@@ -550,12 +569,29 @@ class TestLiveServer:
     )
     def test_bad_content_length_is_answered_and_closed(self, live_port, length, status, code):
         request = f"POST /api/login HTTP/1.1\r\nHost: localhost\r\nContent-Length: {length}\r\n\r\n"
-        with socket.create_connection(("127.0.0.1", live_port), timeout=5) as sock:
-            sock.sendall(request.encode("ascii"))
-            reply = b""
-            while chunk := sock.recv(65536):  # ends only when the server closes
-                reply += chunk
+        reply = exchange(live_port, request.encode("ascii"))
         head, _, body = reply.partition(b"\r\n\r\n")
         assert head.split()[1] == str(status).encode()
         assert b"connection: close" in head.lower()
         assert json.loads(body)["error"] == code
+
+    def test_transfer_encoding_is_answered_and_closed(self, live_port):
+        body = json.dumps({"user_id": "boss", "password": "password1"}).encode()
+        request = (
+            b"POST /api/login HTTP/1.1\r\nHost: localhost\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n"
+        )
+        reply = exchange(live_port, request)
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert b"connection: close" in head.lower()
+        assert json.loads(rest)["error"] == "invalid_argument"
+
+    def test_stalled_request_is_closed_after_the_idle_timeout(self, populated, monkeypatch):
+        assert web._Handler.timeout == web.IDLE_TIMEOUT_S  # the stdlib default, None, waits forever
+        monkeypatch.setattr(web._Handler, "timeout", 0.5)
+        with serving(populated) as port:
+            started = time.monotonic()
+            reply = exchange(port, b"GET /api/me")  # half a request line, never finished
+        assert reply == b""
+        assert time.monotonic() - started < 4
