@@ -100,8 +100,11 @@ class Gatekeeper:
         bootstrap builds the record itself, audited as 'system', and commits
         it through the same writer path as every other mutation.
         When no password is supplied a random one is generated; either way
-        it is handed back for explicit echo to the operator.
+        it is handed back for explicit echo to the operator.  An existing
+        store at ``store_path`` is refused, not replaced.
         """
+        if store_path is not None and Path(store_path).exists():
+            raise GatekeeperError(f"store already exists at {store_path}")
         if password is None:
             password = generate_password()
 

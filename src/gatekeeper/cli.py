@@ -78,6 +78,21 @@ def _store_lock(store_path: Path) -> Iterator[None]:
         os.close(fd)
 
 
+def _instant(text: str) -> datetime:
+    """argparse type for RFC 3339 options: a bad value is a usage error."""
+    try:
+        return parse_instant(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _count(text: str) -> int:
+    """argparse type for a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 def _prompt_secret(label: str) -> str:
     try:
         return getpass.getpass(label)
@@ -103,14 +118,19 @@ def _locked(ctx: Ctx) -> Iterator[Gatekeeper]:
         yield _open(ctx)
 
 
+def _acting_user(args) -> str:
+    if not args.as_user:
+        raise UsageError("--as <user_id> is required for this command")
+    return args.as_user
+
+
 @contextlib.contextmanager
 def _as_admin(args, ctx: Ctx) -> Iterator[tuple[Gatekeeper, Principal]]:
-    """Open the store under its lock and log in the acting administrator;
-    yield the engine and their principal, then log out."""
+    """Read the acting administrator's password, then take the store lock and
+    log them in; yield the engine and their principal, then log out."""
+    password = _auth_password(ctx, _acting_user(args))
     with _locked(ctx) as gk:
-        if not args.as_user:
-            raise UsageError("--as <user_id> is required for this command")
-        session = gk.login(args.as_user, _auth_password(ctx, args.as_user))
+        session = gk.login(args.as_user, password)
         try:
             yield gk, gk.principal_for(session.user_id)
         finally:
@@ -122,8 +142,6 @@ def _as_admin(args, ctx: Ctx) -> Iterator[tuple[Gatekeeper, Principal]]:
 
 
 def cmd_bootstrap(args, ctx: Ctx) -> int:
-    if ctx.store_path.exists():
-        raise GatekeeperError(f"store already exists at {ctx.store_path}")
     config = PolicyConfig(
         multi_admin=args.multi_admin,
         self_registration=SelfRegistrationMode(args.self_registration.replace("-", "_")),
@@ -201,9 +219,8 @@ def cmd_user_disable(args, ctx: Ctx) -> int:
 
 
 def cmd_grant_add(args, ctx: Ctx) -> int:
-    expiry = parse_instant(args.expires) if args.expires else None
     with _as_admin(args, ctx) as (gk, actor):
-        grant = gk.grant_special(actor, args.user_id, args.resource_id, AccessLevel(args.level), expiry)
+        grant = gk.grant_special(actor, args.user_id, args.resource_id, AccessLevel(args.level), args.expires)
     until = format_instant(grant.expiry) if grant.expiry else "revoked"
     ctx.emit(
         f"grant {grant.grant_id}: '{grant.user_id}' may {grant.level.value} '{grant.resource_id}' until {until}",
@@ -269,9 +286,9 @@ def cmd_resource_list(args, ctx: Ctx) -> int:
 
 
 def cmd_check(args, ctx: Ctx) -> int:
-    gk = _open(ctx)
-    principal = gk.principal_for(args.user) if args.user else ANONYMOUS
-    decision = gk.check(principal, args.resource, AccessLevel(args.level))
+    with _locked(ctx) as gk:  # a denial may append to the audit log
+        principal = gk.principal_for(args.user) if args.user else ANONYMOUS
+        decision = gk.check(principal, args.resource, AccessLevel(args.level))
     trace = "\n".join(f"  - {line}" for line in decision.trace)
     human = f"decision: {decision.verdict.value}\nreason: {decision.reason.value}\ntrace:\n{trace}"
     ctx.emit(human, decision_wire(decision))
@@ -291,8 +308,8 @@ def cmd_menu(args, ctx: Ctx) -> int:
 
 
 def cmd_login(args, ctx: Ctx) -> int:
+    password = args.password if args.password is not None else _auth_password(ctx, args.user_id)
     with _locked(ctx) as gk:
-        password = args.password if args.password is not None else _auth_password(ctx, args.user_id)
         session = gk.login(args.user_id, password)
     ctx.emit(
         f"token: {session.token}\nexpires: {format_instant(session.expires_at)}",
@@ -302,11 +319,9 @@ def cmd_login(args, ctx: Ctx) -> int:
 
 
 def cmd_passwd_change(args, ctx: Ctx) -> int:
+    old_password = _auth_password(ctx, _acting_user(args))
+    new_password = args.new_password if args.new_password is not None else _prompt_secret("new password: ")
     with _locked(ctx) as gk:
-        if not args.as_user:
-            raise UsageError("--as <user_id> is required for this command")
-        old_password = _auth_password(ctx, args.as_user)
-        new_password = args.new_password if args.new_password is not None else _prompt_secret("new password: ")
         session = gk.login(args.as_user, old_password)
         try:
             gk.change_password(session.token, old_password, new_password)
@@ -366,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--store", help=f"store file path (default: ${STORE_ENV})")
     common.add_argument("--json", action="store_true", help="emit one JSON document on stdout")
-    common.add_argument("--now", help="fixed RFC 3339 clock for this invocation")
+    common.add_argument("--now", type=_instant, help="fixed RFC 3339 clock for this invocation")
     common.add_argument("--as", dest="as_user", metavar="USER_ID", help="acting administrator")
 
     parser = argparse.ArgumentParser(prog="gatekeeper", description="Role-based access control for MIS report sites.")
@@ -413,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("user_id")
     p.add_argument("resource_id")
     p.add_argument("--level", required=True, choices=_LEVEL_CHOICES)
-    p.add_argument("--expires", help="RFC 3339 expiry (grant lives until this instant inclusive)")
+    p.add_argument("--expires", type=_instant, help="RFC 3339 expiry (grant lives until this instant inclusive)")
     p.set_defaults(func=cmd_grant_add)
     p = grant.add_parser("revoke", parents=[common])
     p.add_argument("grant_id")
@@ -463,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", help="audit log").add_subparsers(dest="subcommand", required=True)
     p = audit.add_parser("tail", parents=[common])
-    p.add_argument("-n", "--lines", type=int, default=10)
+    p.add_argument("-n", "--lines", type=_count, default=10)
     p.add_argument("--kind")
     p.add_argument("--actor")
     p.set_defaults(func=cmd_audit_tail)
@@ -502,13 +517,7 @@ def execute(
             store_arg = args.store or env.get(STORE_ENV)
             if not store_arg:
                 raise UsageError(f"no store given: pass --store or set ${STORE_ENV}")
-            clock = system_clock
-            if args.now:
-                try:
-                    fixed = parse_instant(args.now)
-                except ValueError as exc:
-                    raise UsageError(str(exc)) from None
-                clock = lambda: fixed  # noqa: E731 - tiny fixed clock
+            clock = system_clock if args.now is None else lambda: args.now
             try:
                 digest_cost = int(env.get(KDF_COST_ENV, DEFAULT_COST))
             except ValueError:

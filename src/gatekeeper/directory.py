@@ -91,6 +91,14 @@ def require_admin(actor: Principal) -> None:
         raise NotAuthorized()
 
 
+def require_user(doc: StoreDocument, user_id: str) -> UserRecord:
+    """The stored record for ``user_id``; UnknownUser when there is none."""
+    record = find_user(doc, user_id)
+    if record is None:
+        raise UnknownUser(f"no such user: '{user_id}'")
+    return record
+
+
 def check_new_id(doc: StoreDocument, user_id: str) -> None:
     """Raise InvalidId or IdAlreadyExists unless ``user_id`` is free to take."""
     check = validate_user_id(doc, user_id)
@@ -98,6 +106,12 @@ def check_new_id(doc: StoreDocument, user_id: str) -> None:
         raise InvalidId(check.reason)
     if check.availability is IdAvailability.TAKEN:
         raise IdAlreadyExists()
+
+
+def _check_admin_cap(doc: StoreDocument) -> None:
+    """Raise AdminCapExceeded unless the policy admits another administrator."""
+    if not doc.config.multi_admin and active_admin_count(doc) >= 1:
+        raise AdminCapExceeded()
 
 
 def check_password_strength(password: str) -> None:
@@ -149,8 +163,8 @@ def create_user(
     check_new_id(doc, user_id)
     if role not in (Role.GUEST, Role.STAFF, Role.MANAGER, Role.ADMINISTRATOR):
         raise InvalidArgument("new users must be guest, staff, manager or administrator")
-    if role is Role.ADMINISTRATOR and not doc.config.multi_admin and active_admin_count(doc) >= 1:
-        raise AdminCapExceeded()
+    if role is Role.ADMINISTRATOR:
+        _check_admin_cap(doc)
     check_password_strength(password)
     record = build_user_record(
         user_id, password, role, hint_question, hint_answer,
@@ -222,18 +236,11 @@ def set_role(
     the account.
     """
     require_admin(actor)
-    target = find_user(doc, user_id)
-    if target is None:
-        raise UnknownUser(f"no such user: '{user_id}'")
+    target = require_user(doc, user_id)
     if new_role is Role.OUTSIDER:
         raise InvalidArgument("stored users cannot hold the outsider role")
-    if (
-        new_role is Role.ADMINISTRATOR
-        and target.role is not Role.ADMINISTRATOR
-        and not doc.config.multi_admin
-        and active_admin_count(doc) >= 1
-    ):
-        raise AdminCapExceeded()
+    if new_role is Role.ADMINISTRATOR and target.role is not Role.ADMINISTRATOR:
+        _check_admin_cap(doc)
     if new_role is not Role.ADMINISTRATOR and _is_sole_active_admin(doc, target):
         raise SelfDemotionForbidden()
     if new_role is Role.GUEST and any(g.level is AccessLevel.WRITE for g in grants_for(doc, target.user_id)):
@@ -263,9 +270,7 @@ def set_status(
     require_admin(actor)
     if new_status is UserStatus.PENDING:
         raise InvalidArgument("pending arises only from self-registration")
-    target = find_user(doc, user_id)
-    if target is None:
-        raise UnknownUser(f"no such user: '{user_id}'")
+    target = require_user(doc, user_id)
     if new_status is UserStatus.DISABLED and _is_sole_active_admin(doc, target):
         raise SelfDisableForbidden()
     failures = 0 if new_status is UserStatus.ACTIVE else target.recovery_failures
@@ -307,9 +312,7 @@ def grant_special(
     guests never receive write access.
     """
     require_admin(actor)
-    target = find_user(doc, user_id)
-    if target is None:
-        raise UnknownUser(f"no such user: '{user_id}'")
+    target = require_user(doc, user_id)
     if find_resource(doc, resource_id) is None:
         raise UnknownResource(f"no such resource: '{resource_id}'")
     if level is AccessLevel.ADMIN:

@@ -121,14 +121,6 @@ class MenuTree:
     groups: tuple[tuple[MenuGroup, tuple[MenuItem, ...]], ...]
 
 
-def _allow(reason: DecisionReason, trace: list[str], grant_id: str | None = None) -> Decision:
-    return Decision(reason=reason, grant_id=grant_id, trace=tuple(trace))
-
-
-def _deny(reason: DecisionReason, trace: list[str]) -> Decision:
-    return Decision(reason=reason, grant_id=None, trace=tuple(trace))
-
-
 def decide(
     doc: StoreDocument,
     principal: Principal,
@@ -159,23 +151,23 @@ def decide(
 
     if principal.status is UserStatus.DISABLED:
         trace.append("status is disabled: deny")
-        return _deny(DecisionReason.USER_DISABLED, trace)
+        return Decision(DecisionReason.USER_DISABLED, None, tuple(trace))
 
     if principal.status is UserStatus.PENDING:
         trace.append("status is pending: scoped to the outsider baseline, grants ignored")
         if baseline_allows(Role.OUTSIDER, resource.data_class, level):
             trace.append(f"baseline(outsider, {resource.data_class.value}, {level.value}): allow")
-            return _allow(DecisionReason.BASELINE, trace)
+            return Decision(DecisionReason.BASELINE, None, tuple(trace))
         trace.append(f"baseline(outsider, {resource.data_class.value}, {level.value}): no")
-        return _deny(DecisionReason.USER_PENDING, trace)
+        return Decision(DecisionReason.USER_PENDING, None, tuple(trace))
 
     if principal.role is Role.ADMINISTRATOR:
         trace.append("role is administrator: allow")
-        return _allow(DecisionReason.ADMIN_ROLE, trace)
+        return Decision(DecisionReason.ADMIN_ROLE, None, tuple(trace))
 
     if baseline_allows(principal.role, resource.data_class, level):
         trace.append(f"baseline({principal.role.value}, {resource.data_class.value}, {level.value}): allow")
-        return _allow(DecisionReason.BASELINE, trace)
+        return Decision(DecisionReason.BASELINE, None, tuple(trace))
     trace.append(f"baseline({principal.role.value}, {resource.data_class.value}, {level.value}): no")
 
     if principal.kind is PrincipalKind.ANONYMOUS:
@@ -192,12 +184,12 @@ def decide(
                 continue
             expiry = grant.expiry.isoformat() if grant.expiry else "never"
             trace.append(f"grant {grant.grant_id} ({grant.level.value}, expires {expiry}): allow")
-            return _allow(DecisionReason.SPECIAL_GRANT, trace, grant_id=grant.grant_id)
+            return Decision(DecisionReason.SPECIAL_GRANT, grant.grant_id, tuple(trace))
         if not matched:
             trace.append("no grants for this user on this resource")
 
     trace.append("no matching rule: deny")
-    return _deny(DecisionReason.NO_MATCHING_RULE, trace)
+    return Decision(DecisionReason.NO_MATCHING_RULE, None, tuple(trace))
 
 
 def visible_menu(doc: StoreDocument, principal: Principal, now: datetime) -> MenuTree:

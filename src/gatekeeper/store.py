@@ -215,8 +215,7 @@ def _config_from_wire(obj) -> PolicyConfig:
     )
 
 
-def _user_from_wire(obj, index: int) -> UserRecord:
-    where = f"users[{index}]"
+def _user_from_wire(obj, where: str) -> UserRecord:
     user = _want_object(obj, where)
     failures = _want_int(user, "recovery_failures", where) if "recovery_failures" in user else 0
     return UserRecord(
@@ -232,8 +231,7 @@ def _user_from_wire(obj, index: int) -> UserRecord:
     )
 
 
-def _grant_from_wire(obj, index: int) -> SpecialGrant:
-    where = f"grants[{index}]"
+def _grant_from_wire(obj, where: str) -> SpecialGrant:
     grant = _want_object(obj, where)
     expiry = None
     if grant.get("expiry") is not None:
@@ -249,8 +247,7 @@ def _grant_from_wire(obj, index: int) -> SpecialGrant:
     )
 
 
-def _resource_from_wire(obj, index: int) -> Resource:
-    where = f"resources[{index}]"
+def _resource_from_wire(obj, where: str) -> Resource:
     resource = _want_object(obj, where)
     description = resource.get("description")
     if description is not None and not isinstance(description, str):
@@ -265,8 +262,7 @@ def _resource_from_wire(obj, index: int) -> Resource:
     )
 
 
-def _session_from_wire(obj, index: int) -> Session:
-    where = f"sessions[{index}]"
+def _session_from_wire(obj, where: str) -> Session:
     session = _want_object(obj, where)
     return Session(
         token=_want_str(session, "token", where),
@@ -274,6 +270,15 @@ def _session_from_wire(obj, index: int) -> Session:
         issued_at=_want_instant(session, "issued_at", where),
         expires_at=_want_instant(session, "expires_at", where),
     )
+
+
+# In decode order: the first problem in a corrupt store is the one reported.
+_RECORD_DECODERS = {
+    "users": _user_from_wire,
+    "grants": _grant_from_wire,
+    "resources": _resource_from_wire,
+    "sessions": _session_from_wire,
+}
 
 
 def document_from_wire(data) -> StoreDocument:
@@ -294,24 +299,12 @@ def document_from_wire(data) -> StoreDocument:
     if unknown:
         raise _fail("document", f"unknown top-level keys: {sorted(unknown)}")
     try:
-        return StoreDocument(
-            version=version,
-            config=_config_from_wire(top.get("config")),
-            users=tuple(
-                _user_from_wire(u, i) for i, u in enumerate(_want_list(top.get("users"), "users"))
-            ),
-            grants=tuple(
-                _grant_from_wire(g, i) for i, g in enumerate(_want_list(top.get("grants"), "grants"))
-            ),
-            resources=tuple(
-                _resource_from_wire(r, i)
-                for i, r in enumerate(_want_list(top.get("resources"), "resources"))
-            ),
-            sessions=tuple(
-                _session_from_wire(s, i)
-                for i, s in enumerate(_want_list(top.get("sessions"), "sessions"))
-            ),
-        )
+        config = _config_from_wire(top.get("config"))
+        records = {
+            key: tuple(decode(obj, f"{key}[{i}]") for i, obj in enumerate(_want_list(top.get(key), key)))
+            for key, decode in _RECORD_DECODERS.items()
+        }
+        return StoreDocument(version=version, config=config, **records)
     except (ValidationFailure, UnsupportedVersion):
         raise
     except Exception as exc:  # constructor-level invariant violations
@@ -578,13 +571,12 @@ class FileAuditLog(AuditLog):
         line = json.dumps(event_to_wire(event), sort_keys=True) + "\n"
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "ab") as handle:
+            with open(self.path, "a+b") as handle:
                 # A torn tail from a crash must not glue onto the new line.
                 if handle.tell() > 0:
-                    with open(self.path, "rb") as reader:
-                        reader.seek(-1, os.SEEK_END)
-                        if reader.read(1) != b"\n":
-                            handle.write(b"\n")
+                    handle.seek(-1, os.SEEK_END)
+                    if handle.read(1) != b"\n":
+                        handle.write(b"\n")
                 handle.write(line.encode("utf-8"))
                 handle.flush()
                 os.fsync(handle.fileno())

@@ -29,7 +29,6 @@ from .wire import decision_wire, menu_wire, public_user
 
 #: Largest request body the socket server reads; longer ones get a 413.
 MAX_BODY_BYTES = 1 << 20
-_PAYLOAD_TOO_LARGE = {"error": "payload_too_large", "message": f"request body exceeds {MAX_BODY_BYTES} bytes"}
 #: Seconds a socket connection may stay idle, or stall mid-request, before it is closed.
 IDLE_TIMEOUT_S = 30
 
@@ -66,10 +65,6 @@ class HttpResponse:
 def _respond(status: int, payload: dict) -> HttpResponse:
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
     return HttpResponse(status=status, headers={"Content-Type": "application/json"}, body=body)
-
-
-def _error_response(exc: GatekeeperError) -> HttpResponse:
-    return _respond(exc.http_status, {"error": exc.code, "message": exc.message})
 
 
 _PAGE_NOT_FOUND = {"error": "not_found", "message": "no such page"}
@@ -112,7 +107,7 @@ class PolicyService:
             try:
                 return handler(request, **match.groupdict())
             except GatekeeperError as exc:
-                return _error_response(exc)
+                return _respond(exc.http_status, {"error": exc.code, "message": exc.message})
             except Exception:  # a handler bug must not break the JSON contract
                 return _respond(500, {"error": "internal_error", "message": "internal server error"})
         if matched_path:
@@ -175,16 +170,20 @@ class PolicyService:
         except ValueError:
             raise InvalidArgument(f"unknown {what}: '{raw}'") from None
 
+    @staticmethod
+    def _instant(raw: str) -> datetime:
+        try:
+            return parse_instant(raw)
+        except ValueError as exc:
+            raise InvalidArgument(str(exc)) from None
+
     def _parse_expiry(self, body: dict) -> datetime | None:
         raw = body.get("expiry")
         if raw is None:
             return None
         if not isinstance(raw, str):
             raise InvalidArgument("field 'expiry' must be an RFC 3339 string or null")
-        try:
-            return parse_instant(raw)
-        except ValueError as exc:
-            raise InvalidArgument(str(exc)) from None
+        return self._instant(raw)
 
     # -- open endpoints ------------------------------------------------------
 
@@ -279,12 +278,12 @@ class PolicyService:
         body = self._body(request)
         if not ("role" in body or "status" in body):
             raise InvalidArgument("provide 'role' and/or 'status'")
-        record = None
-        if "role" in body:
-            role = self._parse_enum(Role, self._want(body, "role"), "role")
+        # Parse both fields before the first commit: a malformed second one must not follow it.
+        role = self._parse_enum(Role, self._want(body, "role"), "role") if "role" in body else None
+        status = self._parse_enum(UserStatus, self._want(body, "status"), "status") if "status" in body else None
+        if role is not None:
             record = self.gatekeeper.set_role(actor, user_id, role)
-        if "status" in body:
-            status = self._parse_enum(UserStatus, self._want(body, "status"), "status")
+        if status is not None:
             record = self.gatekeeper.set_status(actor, user_id, status)
         return _respond(200, public_user(record))
 
@@ -307,26 +306,19 @@ class PolicyService:
 
     def _admin_audit(self, request: HttpRequest) -> HttpResponse:
         require_admin(self._authenticated(request))
-        since = until = None
-        try:
-            if "since" in request.query:
-                since = parse_instant(request.query["since"])
-            if "until" in request.query:
-                until = parse_instant(request.query["until"])
-        except ValueError as exc:
-            raise InvalidArgument(str(exc)) from None
+        query = request.query
+        since = self._instant(query["since"]) if "since" in query else None
+        until = self._instant(query["until"]) if "until" in query else None
         limit = None
-        if "limit" in request.query:
+        if "limit" in query:
             try:
-                limit = int(request.query["limit"])
+                limit = int(query["limit"])
             except ValueError:
                 raise InvalidArgument("limit must be an integer") from None
+            if limit < 0:
+                raise InvalidArgument("limit must be a non-negative integer")
         events = self.gatekeeper.audit_events(
-            kind=request.query.get("kind"),
-            actor=request.query.get("actor"),
-            since=since,
-            until=until,
-            limit=limit,
+            kind=query.get("kind"), actor=query.get("actor"), since=since, until=until, limit=limit
         )
         return _respond(200, {"events": [event_to_wire(e) for e in events]})
 
@@ -342,30 +334,35 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self):
         raw_length = (self.headers.get("Content-Length") or "0").strip()
-        body = None
         if "Transfer-Encoding" in self.headers:
-            response = _error_response(InvalidArgument("Transfer-Encoding is not supported; send Content-Length"))
-        elif not (raw_length.isascii() and raw_length.isdigit()):
-            response = _error_response(InvalidArgument("Content-Length must be a non-negative integer"))
-        elif int(raw_length) > MAX_BODY_BYTES:
-            response = _respond(413, _PAYLOAD_TOO_LARGE)
-        else:
-            length = int(raw_length)
-            body = self.rfile.read(length) if length else b""
-            request = HttpRequest.make(self.command, self.path, dict(self.headers.items()), body)
-            response = self.service.handle(request)
+            return self.send_error(400, "Transfer-Encoding is not supported; send Content-Length")
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            return self.send_error(400, "Content-Length must be a non-negative integer")
+        if int(raw_length) > MAX_BODY_BYTES:
+            return self.send_error(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+        body = self.rfile.read(int(raw_length))
+        request = HttpRequest.make(self.command, self.path, dict(self.headers.items()), body)
+        self._send(self.service.handle(request))
+
+    do_GET = do_POST = do_PUT = do_PATCH = do_DELETE = do_OPTIONS = _dispatch
+
+    def send_error(self, code, message=None, explain=None):
+        """Answer a refused request, the stdlib's own refusals included, with
+        a JSON error body, and close the connection: the rest of the request
+        was not read, so its bytes must not be parsed as the next request."""
+        error = "payload_too_large" if code == 413 else "invalid_argument"
+        response = _respond(code, {"error": error, "message": message or self.responses[code][0]})
+        response.headers["Connection"] = "close"
+        self._send(response)
+
+    def _send(self, response: HttpResponse) -> None:
         self.send_response(response.status)
         for name, value in response.headers.items():
             self.send_header(name, value)
-        if body is None:
-            # The body was never read; its bytes must not be parsed as the
-            # next request on this connection.
-            self.send_header("Connection", "close")
         self.send_header("Content-Length", str(len(response.body)))
         self.end_headers()
-        self.wfile.write(response.body)
-
-    do_GET = do_POST = do_PATCH = do_DELETE = _dispatch
+        if self.command != "HEAD":
+            self.wfile.write(response.body)
 
     def log_message(self, format, *args):  # noqa: A002 - BaseHTTPRequestHandler API
         pass

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from gatekeeper.app import Gatekeeper
-from gatekeeper.errors import InvalidId, WeakPassword
+from gatekeeper.errors import GatekeeperError, InvalidId, WeakPassword
 from gatekeeper.model import AccessLevel, DataClass, MenuGroup, PolicyConfig, Role
+from gatekeeper.store import audit_path_for
 
 from worlds import FAST_COST, FakeClock, make_resource
 
@@ -33,6 +34,14 @@ class TestBootstrap:
     def test_bootstrap_audited_as_system(self, gk):
         events = gk.audit_events(kind="user_created")
         assert events[0].actor == "system"
+
+    def test_refuses_an_existing_store(self, tmp_path):
+        store = tmp_path / "store.json"
+        Gatekeeper.bootstrap("root", "rootpass1", store_path=store, clock=FakeClock(), digest_cost=FAST_COST)
+        before = store.read_bytes(), audit_path_for(store).read_bytes()
+        with pytest.raises(GatekeeperError, match="store already exists at"):
+            Gatekeeper.bootstrap("other", "otherpass1", store_path=store, clock=FakeClock(), digest_cost=FAST_COST)
+        assert (store.read_bytes(), audit_path_for(store).read_bytes()) == before
 
 
 class TestDenialLogging:

@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import io
 import json
+import os
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+from gatekeeper import cli
 from gatekeeper.app import Gatekeeper
 from gatekeeper.cli import execute
 from gatekeeper.engine import ANONYMOUS
 from gatekeeper.model import AccessLevel
+from gatekeeper.store import audit_path_for
 from gatekeeper.wire import decision_wire
 
 from worlds import NOW
@@ -312,8 +320,27 @@ class TestUsageErrors:
         assert code == 2
 
     def test_bad_now(self, booted):
-        code, _, _ = run(["menu", "--now", "yesterday"], booted)
+        code, _, err = run(["menu", "--now", "yesterday"], booted)
         assert code == 2
+        assert "argument --now: not an RFC 3339 instant: 'yesterday'" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            admin_args(["grant", "add", "root", "page", "--level", "read", "--expires", "garbage"]),
+            ["audit", "tail", "-n", "-3"],
+        ],
+        ids=["expires", "negative-lines"],
+    )
+    def test_bad_option_value_is_a_usage_error(self, booted, args):
+        store = Path(booted["GATEKEEPER_STORE"])
+        before = store.read_bytes(), audit_path_for(store).read_bytes()
+        code, out, err = run(args, booted)
+        assert code == 2
+        assert "error: argument" in err
+        assert "Traceback" not in err
+        assert out == ""
+        assert (store.read_bytes(), audit_path_for(store).read_bytes()) == before
 
     def test_help_exits_zero(self, env):
         code, out, _ = run(["--help"], env)
@@ -328,9 +355,11 @@ class TestUsageErrors:
         assert "error:" in err
 
     def test_unsupported_store_version(self, booted):
-        blob = json.load(open(booted["GATEKEEPER_STORE"]))
+        with open(booted["GATEKEEPER_STORE"]) as handle:
+            blob = json.load(handle)
         blob["version"] = 7
-        json.dump(blob, open(booted["GATEKEEPER_STORE"], "w"))
+        with open(booted["GATEKEEPER_STORE"], "w") as handle:
+            json.dump(blob, handle)
         code, _, err = run(["resource", "list"], booted)
         assert code == 1
         assert "version" in err
@@ -397,7 +426,7 @@ class TestServeCommand:
                 raise AssertionError(f"server never came up: {last_error}")
         finally:
             process.terminate()
-            process.wait(timeout=10)
+            process.communicate(timeout=10)  # waits, and closes the pipes
 
 
 class TestStoreWrites:
@@ -424,11 +453,75 @@ class TestStoreWrites:
         assert len(calls) == saves
 
 
+@contextlib.contextmanager
+def holding_store_lock(env):
+    """Hold the CLI's advisory store lock from a file descriptor of our own."""
+    fd = os.open(Path(env["GATEKEEPER_STORE"]).with_suffix(".lock"), os.O_CREAT | os.O_RDWR, 0o600)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
+
+
+class TestStoreLock:
+    def test_denied_check_waits_for_the_store_lock(self, booted):
+        add = ["resource", "add", "monthly-report", "--class", "managerial", "--group", "manager-reports"]
+        assert run(admin_args(add), booted)[0] == 0
+        audit = audit_path_for(booted["GATEKEEPER_STORE"])
+        denials_before = audit.read_text().count('"access_denied"')
+        result = []
+        check = threading.Thread(
+            target=lambda: result.append(run(["check", "--resource", "monthly-report", "--level", "read"], booted))
+        )
+        with holding_store_lock(booted):
+            check.start()
+            time.sleep(0.5)
+            assert check.is_alive(), "check appended to the audit log without the store lock"
+        check.join(timeout=10)
+        assert not check.is_alive()
+        code, out, err = result[0]
+        assert code == 0, err
+        assert "decision: deny" in out
+        assert audit.read_text().count('"access_denied"') == denials_before + 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["user", "list", "--as", "root"],
+            ["login", "root"],
+            ["passwd", "change", "--as", "root", "--new-password", "newpass12"],
+        ],
+        ids=["admin", "login", "passwd-change"],
+    )
+    def test_password_prompt_runs_without_the_store_lock(self, booted, monkeypatch, args):
+        lock_path = Path(booted["GATEKEEPER_STORE"]).with_suffix(".lock")
+        lock_free_at_prompt = []
+
+        def probe(label):
+            fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o600)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                lock_free_at_prompt.append(True)
+            except BlockingIOError:
+                lock_free_at_prompt.append(False)
+            finally:
+                os.close(fd)
+            return "rootpass1"
+
+        monkeypatch.setattr(cli, "_prompt_secret", probe)
+        env = {k: v for k, v in booted.items() if k != "GATEKEEPER_PASSWORD"}
+        code, _, err = run(args, env)
+        assert code == 0, err
+        assert lock_free_at_prompt == [True]
+
+
 class TestRedaction:
     def test_no_command_output_contains_digest_material(self, booted):
         run(admin_args(["user", "add", "rjones", "--role", "staff", "--password", "password1",
                         "--hint-question", "pet?", "--hint-answer", "rex"]), booted)
-        store_blob = json.loads(open(booted["GATEKEEPER_STORE"]).read())
+        with open(booted["GATEKEEPER_STORE"]) as handle:
+            store_blob = json.load(handle)
         secrets = set()
         for user in store_blob["users"]:
             for key in ("password_digest", "hint_answer_digest"):

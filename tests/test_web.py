@@ -12,7 +12,7 @@ import urllib.request
 import pytest
 
 from gatekeeper import errors, web
-from gatekeeper.model import AccessLevel, PolicyConfig, SelfRegistrationMode, UserStatus
+from gatekeeper.model import AccessLevel, PolicyConfig, Role, SelfRegistrationMode, UserStatus
 from gatekeeper.web import MAX_BODY_BYTES, HttpRequest, PolicyService, make_server
 from gatekeeper.wire import decision_wire
 
@@ -313,6 +313,16 @@ class TestAdminEndpoints:
                         body={"role": "wizard"})
         assert response.status == 400
 
+    def test_patch_with_a_bad_second_field_commits_nothing(self, service, populated):
+        token = login(service, "root", "rootpass1")
+        events_before = populated.audit_events()
+        response = call(service, "PATCH", "/api/admin/users/staffer", token=token,
+                        body={"role": "manager", "status": "bogus"})
+        assert response.status == 400
+        assert response.json()["error"] == "invalid_argument"
+        assert populated.principal_for("staffer").role is Role.STAFF
+        assert populated.audit_events() == events_before
+
     def test_audit_time_and_limit_params(self, service):
         token = login(service, "root", "rootpass1")
         response = call(service, "GET", "/api/admin/audit?limit=2", token=token)
@@ -320,6 +330,12 @@ class TestAdminEndpoints:
         assert len(response.json()["events"]) == 2
         response = call(service, "GET", "/api/admin/audit?since=not-a-date", token=token)
         assert response.status == 400
+
+    def test_negative_audit_limit_400(self, service):
+        token = login(service, "root", "rootpass1")
+        response = call(service, "GET", "/api/admin/audit?limit=-1", token=token)
+        assert response.status == 400
+        assert response.json() == {"error": "invalid_argument", "message": "limit must be a non-negative integer"}
 
     def test_audit_endpoint_requires_admin(self, service):
         token = login(service, "staffer", "password1")
@@ -543,6 +559,14 @@ def exchange(port: int, request: bytes) -> bytes:
     return reply
 
 
+def split_reply(reply: bytes) -> tuple[bytes, bytes]:
+    """(head, body) of a reply; an HTTP/0.9-style reply is all body."""
+    if not reply.startswith(b"HTTP/"):
+        return b"", reply
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head, body
+
+
 class TestLiveServer:
     def test_serves_over_a_real_socket(self, live_port):
         with urllib.request.urlopen(f"http://127.0.0.1:{live_port}/api/menu") as response:
@@ -586,6 +610,41 @@ class TestLiveServer:
         assert head.split()[1] == b"400"
         assert b"connection: close" in head.lower()
         assert json.loads(rest)["error"] == "invalid_argument"
+
+    @pytest.mark.parametrize("method", ["PUT", "OPTIONS"])
+    @pytest.mark.parametrize("path", ["/api/login", "/api/nowhere"])
+    def test_other_methods_answer_as_the_service_does(self, live_port, populated, method, path):
+        request = f"{method} {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
+        head, body = split_reply(exchange(live_port, request.encode("ascii")))
+        expected = PolicyService(populated).handle(HttpRequest.make(method, path))
+        assert head.split()[1] == str(expected.status).encode()
+        assert json.loads(body) == expected.json()
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GARBAGE\r\n\r\n", None),
+            (b"BREW /api/login HTTP/1.1\r\nHost: localhost\r\n\r\n", 501),
+            # 65,537 bytes: exactly what the server reads, so its close sends no reset.
+            (b"GET /" + b"a" * 65532, 414),
+        ],
+        ids=["malformed-line", "unknown-method", "line-too-long"],
+    )
+    def test_stdlib_refusals_are_json_and_closed(self, live_port, request_bytes, status):
+        head, body = split_reply(exchange(live_port, request_bytes))
+        if status is not None:
+            assert head.split()[1] == str(status).encode()
+            assert b"connection: close" in head.lower()
+        payload = json.loads(body)
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "invalid_argument"
+
+    def test_refused_head_carries_no_body(self, live_port):
+        reply = exchange(live_port, b"HEAD /api/menu HTTP/1.1\r\nHost: localhost\r\n\r\n")
+        head, body = split_reply(reply)
+        assert head.split()[1] == b"501"
+        assert b"content-type: application/json" in head.lower()
+        assert body == b""
 
     def test_stalled_request_is_closed_after_the_idle_timeout(self, populated, monkeypatch):
         assert web._Handler.timeout == web.IDLE_TIMEOUT_S  # the stdlib default, None, waits forever
