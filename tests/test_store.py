@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import random
-from datetime import timedelta
+import shutil
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
@@ -17,11 +20,24 @@ from gatekeeper.errors import (
     UnsupportedVersion,
     ValidationFailure,
 )
-from gatekeeper.model import AccessLevel, PolicyConfig, Role, Session, UserStatus
+from gatekeeper.credentials import CredentialDigest
+from gatekeeper.model import (
+    AccessLevel,
+    DataClass,
+    MenuGroup,
+    PolicyConfig,
+    Resource,
+    Role,
+    SelfRegistrationMode,
+    Session,
+    SpecialGrant,
+    UserStatus,
+)
 from gatekeeper.store import (
     FileAuditLog,
     MemoryAuditLog,
     AuditEntry,
+    AuditEvent,
     audit_path_for,
     document_to_wire,
     load,
@@ -43,6 +59,38 @@ from worlds import (
     make_user,
     random_world,
 )
+
+DATA = Path(__file__).parent / "data"
+_ABSENT = object()
+
+# (path into the v1 fixture, value put there or _ABSENT, exact load message)
+BAD_FIELDS = [
+    (("users", 1, "role"), "wizard", "users[1]: field 'role' has unknown value 'wizard'"),
+    (("users", 1, "role"), 7, "users[1]: field 'role' must be a string"),
+    (("users", 1, "user_id"), _ABSENT, "users[1]: field 'user_id' must be a string"),
+    (("users", 1, "created_at"), "2026-06-01T12:00:00",
+     "users[1]: field 'created_at': instant lacks a timezone: '2026-06-01T12:00:00'"),
+    (("users", 1, "recovery_failures"), True, "users[1]: field 'recovery_failures' must be an integer"),
+    (("users", 1, "recovery_failures"), None, "users[1]: field 'recovery_failures' must be an integer"),
+    (("users", 1, "password_digest"), "x", "users[1]: field 'password_digest': digest must be an object"),
+    (("users", 1, "hint_answer_digest", "salt"), "c2hvcnQ=",
+     "users[1]: field 'hint_answer_digest': digest salt must be at least 16 bytes"),
+    (("users", 0), [], "users[0]: expected an object"),
+    (("users",), {}, "users: expected a list"),
+    (("config",), None, "config: expected an object"),
+    (("config", "multi_admin"), "yes", "config: field 'multi_admin' must be a boolean"),
+    (("config", "self_registration"), "open", "config: field 'self_registration' has unknown value 'open'"),
+    (("config", "session_ttl_seconds"), 1.5, "config: field 'session_ttl_seconds' must be an integer"),
+    (("config", "session_ttl_seconds"), 0, "session_ttl_seconds must be a positive integer"),
+    (("grants", 0, "expiry"), "soon", "grants[0]: field 'expiry': not an RFC 3339 instant: 'soon'"),
+    (("grants", 0, "level"), "admin", "grants never carry the admin level"),
+    (("grants", 2, "granted_at"), 0, "grants[2]: field 'granted_at' must be a string"),
+    (("resources", 0, "description"), 5, "resources[0]: field 'description' must be a string or null"),
+    (("resources", 4, "required_level"), "read",
+     "admin-menu resources require the admin level and the admin level belongs only to admin-menu resources"),
+    (("sessions", 0, "expires_at"), None, "sessions[0]: field 'expires_at' must be a string"),
+    (("version",), "1", "document: field 'version' must be an integer"),
+]
 
 
 class TestRoundTrip:
@@ -70,10 +118,23 @@ class TestRoundTrip:
 
     def test_keys_are_sorted(self, tmp_path):
         path = tmp_path / "store.json"
-        save(make_doc(), path)
-        text = path.read_text()
-        top_keys = [line.split('"')[1] for line in text.splitlines() if line.startswith('  "')]
-        assert top_keys == sorted(top_keys)
+        save(make_doc(
+            users=[make_user("ann")],
+            resources=[make_resource("report")],
+            grants=[make_grant("g1", "ann", "report", AccessLevel.READ, FUTURE)],
+            sessions=[Session("tok-1", "ann", NOW, FUTURE)],
+        ), path)
+        objects = []
+
+        def record(pairs):
+            objects.append([key for key, _ in pairs])
+            return dict(pairs)
+
+        json.loads(path.read_text(), object_pairs_hook=record)
+        # the document, config, two users with two digests each, grant, resource, session
+        assert len(objects) == 1 + 1 + 2 * 3 + 3
+        for keys in objects:
+            assert keys == sorted(keys)
 
     def test_many_random_worlds_round_trip(self, tmp_path):
         rng = random.Random(20260601)
@@ -300,6 +361,147 @@ class TestLoadRejections:
         wire["extra"] = True
         with pytest.raises(ValidationFailure):
             load(self._write(tmp_path, wire))
+
+
+class TestV1Format:
+    """The v1 files on disk, pinned byte for byte.  The fixtures under
+    ``tests/data`` were written by an earlier release of this code; any change
+    to the wire form of a record, in either direction, shows up here."""
+
+    STORE = DATA / "store_v1.json"
+    AUDIT = DATA / "audit_v1.jsonl"
+
+    def _wire(self) -> dict:
+        return json.loads(self.STORE.read_text())
+
+    def test_store_round_trips_byte_identically(self):
+        assert serialize_document(load(self.STORE)) == self.STORE.read_bytes()
+
+    def test_store_decodes_to_literal_values(self):
+        doc = load(self.STORE)
+        assert doc.config == PolicyConfig(
+            multi_admin=True,
+            self_registration=SelfRegistrationMode.PENDING_APPROVAL,
+            allow_self_password_change=False,
+            session_ttl_seconds=900,
+            log_denials=False,
+        )
+        assert [(u.user_id, u.role, u.status, u.recovery_failures) for u in doc.users] == [
+            ("root", Role.ADMINISTRATOR, UserStatus.ACTIVE, 0),
+            ("deputy", Role.ADMINISTRATOR, UserStatus.DISABLED, 0),
+            ("maria.m", Role.MANAGER, UserStatus.ACTIVE, 2),
+            ("sam_staff", Role.STAFF, UserStatus.ACTIVE, 0),
+            ("gus-guest", Role.GUEST, UserStatus.PENDING, 0),
+        ]
+        assert doc.users[0].password_digest == CredentialDigest(
+            algorithm="pbkdf2-sha256",
+            salt=bytes(range(17, 33)),
+            digest=base64.b64decode("t8rXRh2w7gsl4UcZ+re37v+EMQkxR0wHbtcP/Ic4xd0="),
+            cost=1,
+        )
+        assert doc.users[2].hint_question == "premi\u00e8re \u00e9cole?"
+        assert doc.grants[0] == SpecialGrant(
+            "g1", "sam_staff", "budget", AccessLevel.READ,
+            datetime(2026, 7, 1, 12, tzinfo=timezone.utc), "root", datetime(2026, 6, 1, 13, tzinfo=timezone.utc),
+        )
+        assert [g.expiry for g in doc.grants[1:]] == [None, None]
+        assert doc.grants[2].granted_at == datetime(2026, 6, 1, 15, 0, 0, 250000, tzinfo=timezone.utc)
+        assert [r.description for r in doc.resources] == ["Landing page", None, "", None, "Account admin"]
+        assert doc.resources[2] == Resource(
+            "budget", "Budget \u2014 Q3", DataClass.MANAGERIAL, MenuGroup.MANAGER_REPORTS, AccessLevel.READ, ""
+        )
+        assert doc.sessions == (
+            Session(
+                "tok-" + "A" * 28, "maria.m",
+                datetime(2026, 6, 1, 16, tzinfo=timezone.utc), datetime(2026, 6, 1, 16, 15, tzinfo=timezone.utc),
+            ),
+        )
+
+    def test_absent_optional_fields_decode_to_their_defaults(self):
+        wire = self._wire()
+        del wire["users"][2]["recovery_failures"]
+        del wire["grants"][0]["expiry"]
+        del wire["resources"][0]["description"]
+        doc = loads(json.dumps(wire).encode())
+        assert doc.users[2].recovery_failures == 0
+        assert doc.grants[0].expiry is None
+        assert doc.resources[0].description is None
+
+    def test_audit_events_decode_to_literal_values(self, tmp_path):
+        path = tmp_path / "x.audit.jsonl"
+        shutil.copyfile(self.AUDIT, path)
+        at = datetime(2026, 6, 1, 12, tzinfo=timezone.utc)
+        assert FileAuditLog(path).events() == [
+            AuditEvent(1, at, "system", "user_created", {"role": "administrator", "user_id": "root"}),
+            AuditEvent(2, at + timedelta(minutes=5, microseconds=1000), "root", "role_changed",
+                       {"from": "staff", "to": "manager", "user_id": "maria.m"}),
+            AuditEvent(3, at + timedelta(minutes=10, microseconds=2000), "root", "grant_issued", {
+                "expiry": "2026-07-01T12:00:00Z", "grant_id": "g1", "level": "read",
+                "resource_id": "budget", "user_id": "sam_staff",
+            }),
+            AuditEvent(4, at + timedelta(minutes=15, microseconds=3000), "maria.m", "login_succeeded",
+                       {"user_id": "maria.m"}),
+            AuditEvent(5, at + timedelta(minutes=20, microseconds=4000), "sam_staff", "access_denied", {}),
+            AuditEvent(6, at + timedelta(minutes=25, microseconds=5000), "anonymous", "recovery_failed",
+                       {"cause": "premi\u00e8re", "user_id": "maria.m"}),
+        ]
+
+    def test_audit_append_writes_a_literal_line(self, tmp_path):
+        path = tmp_path / "x.audit.jsonl"
+        shutil.copyfile(self.AUDIT, path)
+        at = datetime(2026, 6, 2, 9, 30, 0, 500, tzinfo=timezone.utc)
+        FileAuditLog(path).append(AuditEntry("root", "grant_revoked", {"grant_id": "g1", "user_id": "sam_staff"}), at)
+        assert path.read_bytes() == self.AUDIT.read_bytes() + (
+            b'{"actor": "root", "at": "2026-06-02T09:30:00.000500Z", '
+            b'"detail": {"grant_id": "g1", "user_id": "sam_staff"}, "kind": "grant_revoked", "seq": 7}\n'
+        )
+
+    @pytest.mark.parametrize("field, value", [
+        ("seq", True), ("seq", "7"), ("at", "soon"), ("actor", None), ("kind", 5),
+        ("detail", []), ("detail", {"k": 1}), ("detail", None),
+    ])
+    def test_malformed_audit_line_is_skipped(self, tmp_path, field, value):
+        line = {"actor": "root", "at": "2026-06-02T00:00:00Z", "detail": {}, "kind": "x", "seq": 7, field: value}
+        path = tmp_path / "x.audit.jsonl"
+        path.write_bytes(self.AUDIT.read_bytes() + json.dumps(line).encode() + b"\n")
+        assert [e.seq for e in FileAuditLog(path).events()] == [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("path, value, message", BAD_FIELDS, ids=[
+        ".".join(map(str, path)) + ("=absent" if value is _ABSENT else f"={value!r}") for path, value, _ in BAD_FIELDS
+    ])
+    def test_exact_load_messages(self, path, value, message):
+        wire = self._wire()
+        *parents, key = path
+        target = wire
+        for step in parents:
+            target = target[step]
+        if value is _ABSENT:
+            del target[key]
+        else:
+            target[key] = value
+        with pytest.raises(ValidationFailure) as excinfo:
+            loads(json.dumps(wire).encode())
+        assert excinfo.value.message == message
+
+    @pytest.mark.parametrize(
+        "record, breakage, message",
+        [
+            ("users", {"recovery_failures": "1", "user_id": 1},
+             "users[1]: field 'recovery_failures' must be an integer"),
+            ("grants", {"expiry": 1, "grant_id": 1}, "grants[1]: field 'expiry' must be a string"),
+            ("resources", {"description": 1, "resource_id": 1},
+             "resources[1]: field 'description' must be a string or null"),
+            ("sessions", {"token": 1, "user_id": 1}, "sessions[1]: field 'token' must be a string"),
+        ],
+        ids=["users", "grants", "resources", "sessions"],
+    )
+    def test_first_problem_in_a_record_is_the_one_reported(self, record, breakage, message):
+        wire = self._wire()
+        wire[record].append(dict(wire[record][0], **breakage))
+        wire[record][1], wire[record][-1] = wire[record][-1], wire[record][1]
+        with pytest.raises(ValidationFailure) as excinfo:
+            loads(json.dumps(wire).encode())
+        assert excinfo.value.message == message
 
 
 class TestFuzzedLoader:
