@@ -27,9 +27,9 @@ from typing import IO, Callable, Iterator, Mapping
 from .app import Gatekeeper, system_clock
 from .credentials import DEFAULT_COST
 from .engine import ANONYMOUS, Principal
-from .errors import GatekeeperError
+from .errors import GatekeeperError, IoFailure
 from .model import AccessLevel, DataClass, MenuGroup, PolicyConfig, Resource, Role, SelfRegistrationMode, UserStatus
-from .store import event_to_wire, format_instant, grant_to_wire, parse_instant, resource_to_wire, session_to_wire
+from .store import format_instant, parse_instant, to_wire
 from .web import make_server
 from .wire import decision_wire, menu_wire, public_user
 
@@ -43,6 +43,7 @@ _ROLE_CHOICES = [r.value for r in Role]
 _LEVEL_CHOICES = [l.value for l in AccessLevel]
 _CLASS_CHOICES = [c.value for c in DataClass]
 _GROUP_CHOICES = [g.value.replace("_", "-") for g in MenuGroup]
+_REGISTRATION_CHOICES = [m.value.replace("_", "-") for m in SelfRegistrationMode]
 
 
 class UsageError(Exception):
@@ -224,7 +225,7 @@ def cmd_grant_add(args, ctx: Ctx) -> int:
     until = format_instant(grant.expiry) if grant.expiry else "revoked"
     ctx.emit(
         f"grant {grant.grant_id}: '{grant.user_id}' may {grant.level.value} '{grant.resource_id}' until {until}",
-        grant_to_wire(grant),
+        to_wire(grant),
     )
     return 0
 
@@ -244,7 +245,7 @@ def cmd_grant_list(args, ctx: Ctx) -> int:
         f"{format_instant(g.expiry) if g.expiry else 'never'}"
         for g in grants
     ]
-    ctx.emit("\n".join(lines) if lines else "(no grants)", {"grants": [grant_to_wire(g) for g in grants]})
+    ctx.emit("\n".join(lines) if lines else "(no grants)", {"grants": [to_wire(g) for g in grants]})
     return 0
 
 
@@ -266,7 +267,7 @@ def cmd_resource_add(args, ctx: Ctx) -> int:
         gk.add_resource(actor, resource)
     ctx.emit(
         f"resource '{resource.resource_id}' added to {resource.menu_group.value}",
-        resource_to_wire(resource),
+        to_wire(resource),
     )
     return 0
 
@@ -280,7 +281,7 @@ def cmd_resource_list(args, ctx: Ctx) -> int:
     ]
     ctx.emit(
         "\n".join(lines) if lines else "(no resources)",
-        {"resources": [resource_to_wire(r) for r in resources]},
+        {"resources": [to_wire(r) for r in resources]},
     )
     return 0
 
@@ -313,7 +314,7 @@ def cmd_login(args, ctx: Ctx) -> int:
         session = gk.login(args.user_id, password)
     ctx.emit(
         f"token: {session.token}\nexpires: {format_instant(session.expires_at)}",
-        session_to_wire(session),
+        to_wire(session),
     )
     return 0
 
@@ -352,16 +353,20 @@ def cmd_audit_tail(args, ctx: Ctx) -> int:
     for event in events:
         detail = " ".join(f"{k}={v}" for k, v in sorted(event.detail.items()))
         lines.append(f"[{event.seq}] {format_instant(event.at)} {event.actor} {event.kind} {detail}".rstrip())
-    ctx.emit("\n".join(lines) if lines else "(no events)", {"events": [event_to_wire(e) for e in events]})
+    ctx.emit("\n".join(lines) if lines else "(no events)", {"events": [to_wire(e) for e in events]})
     return 0
 
 
 def cmd_serve(args, ctx: Ctx) -> int:
     host, _, port_text = args.bind.rpartition(":")
-    if not host or not port_text.isdigit():
+    # ASCII only: int() also reads other scripts' digits, so '٣' would be port 3.
+    if not (host and port_text.isascii() and port_text.isdigit() and len(port_text) <= 5 and int(port_text) <= 65535):
         raise UsageError("--bind must look like HOST:PORT")
     gk = _open(ctx)
-    server = make_server(gk, host, int(port_text))
+    try:
+        server = make_server(gk, host, int(port_text))
+    except OSError as exc:
+        raise IoFailure(f"cannot listen on {host}:{port_text}: {exc}") from exc
     print(f"serving on http://{host}:{port_text}", file=ctx.stdout)
     ctx.stdout.flush()
     try:
@@ -393,8 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hint-question", default="")
     p.add_argument("--hint-answer", default="")
     p.add_argument("--multi-admin", action="store_true")
-    p.add_argument("--self-registration", default="disabled",
-                   choices=["disabled", "auto-guest", "pending-approval"])
+    p.add_argument("--self-registration", default="disabled", choices=_REGISTRATION_CHOICES)
     p.add_argument("--session-ttl", type=int, default=1800)
     p.add_argument("--no-self-password-change", action="store_true")
     p.add_argument("--no-log-denials", action="store_true")

@@ -1,9 +1,11 @@
 """Durable state: JSON snapshot persistence and the append-only audit log.
 
 The store is a single JSON document written atomically (temp file + rename).
-The record constructors in ``model`` enforce the per-record invariants, so a
-record that breaks one cannot exist; :func:`validate_document` enforces the
-store-wide invariants on both save and load.  The audit log is a sibling
+Each stored record's wire form is declared once, in ``_FIELDS``, which
+:func:`to_wire` and the loader read in opposite directions.  The record
+constructors in ``model`` enforce the per-record invariants, so a record that
+breaks one cannot exist; :func:`validate_document` enforces the store-wide
+invariants on both save and load.  The audit log is a sibling
 ``.audit.jsonl`` file, one JSON object per line with a strictly increasing
 sequence number; audit lines are written ahead of the snapshot they
 describe, so after a crash the audit is a superset of the persisted history.
@@ -16,6 +18,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -73,75 +76,30 @@ def audit_path_for(store_path: str | Path) -> Path:
     return Path(store_path).with_suffix(AUDIT_SUFFIX)
 
 
-# ---------------------------------------------------------------------------
-# Wire encoding
+@dataclass(frozen=True)
+class AuditEntry:
+    """A pending audit event: everything but the sequence number and stamp,
+    which the log assigns at append time."""
+
+    actor: str
+    kind: str
+    detail: Mapping[str, str]
 
 
-def _user_to_wire(user: UserRecord) -> dict:
-    return {
-        "user_id": user.user_id,
-        "password_digest": digest_to_wire(user.password_digest),
-        "role": user.role.value,
-        "status": user.status.value,
-        "hint_question": user.hint_question,
-        "hint_answer_digest": digest_to_wire(user.hint_answer_digest),
-        "created_by": user.created_by,
-        "created_at": format_instant(user.created_at),
-        "recovery_failures": user.recovery_failures,
-    }
-
-
-def grant_to_wire(grant: SpecialGrant) -> dict:
-    return {
-        "grant_id": grant.grant_id,
-        "user_id": grant.user_id,
-        "resource_id": grant.resource_id,
-        "level": grant.level.value,
-        "expiry": format_instant(grant.expiry) if grant.expiry else None,
-        "granted_by": grant.granted_by,
-        "granted_at": format_instant(grant.granted_at),
-    }
-
-
-def resource_to_wire(resource: Resource) -> dict:
-    return {
-        "resource_id": resource.resource_id,
-        "display_name": resource.display_name,
-        "data_class": resource.data_class.value,
-        "menu_group": resource.menu_group.value,
-        "required_level": resource.required_level.value,
-        "description": resource.description,
-    }
-
-
-def session_to_wire(session: Session) -> dict:
-    return {
-        "token": session.token,
-        "user_id": session.user_id,
-        "issued_at": format_instant(session.issued_at),
-        "expires_at": format_instant(session.expires_at),
-    }
-
-
-def document_to_wire(doc: StoreDocument) -> dict:
-    return {
-        "version": doc.version,
-        "config": {
-            "multi_admin": doc.config.multi_admin,
-            "self_registration": doc.config.self_registration.value,
-            "allow_self_password_change": doc.config.allow_self_password_change,
-            "session_ttl_seconds": doc.config.session_ttl_seconds,
-            "log_denials": doc.config.log_denials,
-        },
-        "users": [_user_to_wire(u) for u in doc.users],
-        "grants": [grant_to_wire(g) for g in doc.grants],
-        "resources": [resource_to_wire(r) for r in doc.resources],
-        "sessions": [session_to_wire(s) for s in doc.sessions],
-    }
+@dataclass(frozen=True)
+class AuditEvent:
+    seq: int
+    at: datetime
+    actor: str
+    kind: str
+    detail: Mapping[str, str]
 
 
 # ---------------------------------------------------------------------------
-# Wire decoding (defensive: any shape problem becomes ValidationFailure)
+# Wire form: one field table per stored record, read in both directions.
+# Decoding is defensive: any shape problem becomes ValidationFailure.
+
+_ABSENT = object()  # what a field decoder sees for a key missing from the object
 
 
 def _fail(where: str, problem: str) -> ValidationFailure:
@@ -154,131 +112,158 @@ def _want_object(value, where: str) -> dict:
     return value
 
 
-def _want_list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise _fail(where, "expected a list")
-    return value
-
-
-def _want_str(obj: dict, key: str, where: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str):
+def _str(raw, key: str, where: str) -> str:
+    if not isinstance(raw, str):
         raise _fail(where, f"field '{key}' must be a string")
-    return value
+    return raw
 
 
-def _want_bool(obj: dict, key: str, where: str) -> bool:
-    value = obj.get(key)
-    if not isinstance(value, bool):
+def _bool(raw, key: str, where: str) -> bool:
+    if not isinstance(raw, bool):
         raise _fail(where, f"field '{key}' must be a boolean")
-    return value
+    return raw
 
 
-def _want_int(obj: dict, key: str, where: str) -> int:
-    value = obj.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
+def _int(raw, key: str, where: str) -> int:
+    if not isinstance(raw, int) or isinstance(raw, bool):
         raise _fail(where, f"field '{key}' must be an integer")
-    return value
+    return raw
 
 
-def _want_instant(obj: dict, key: str, where: str) -> datetime:
+def _int_or_zero(raw, key: str, where: str) -> int:
+    """A missing key reads as 0; a null is still an error."""
+    return 0 if raw is _ABSENT else _int(raw, key, where)
+
+
+def _instant(raw, key: str, where: str) -> datetime:
     try:
-        return parse_instant(_want_str(obj, key, where))
+        return parse_instant(_str(raw, key, where))
     except ValueError as exc:
         raise _fail(where, f"field '{key}': {exc}") from None
 
 
-def _want_enum(obj: dict, key: str, enum_type, where: str):
-    raw = _want_str(obj, key, where)
-    try:
-        return enum_type(raw)
-    except ValueError:
-        raise _fail(where, f"field '{key}' has unknown value {raw!r}") from None
+def _instant_or_null(raw, key: str, where: str) -> datetime | None:
+    return None if raw is None or raw is _ABSENT else _instant(raw, key, where)
 
 
-def _want_digest(obj: dict, key: str, where: str):
+def _str_or_null(raw, key: str, where: str) -> str | None:
+    if raw is None or raw is _ABSENT:
+        return None
+    if not isinstance(raw, str):
+        raise _fail(where, f"field '{key}' must be a string or null")
+    return raw
+
+
+def _enum(enum_type):
+    def decode(raw, key: str, where: str):
+        try:
+            return enum_type(_str(raw, key, where))
+        except ValueError:
+            raise _fail(where, f"field '{key}' has unknown value {raw!r}") from None
+
+    return decode
+
+
+def _digest(raw, key: str, where: str):
     try:
-        return digest_from_wire(obj.get(key))
+        return digest_from_wire(raw)
     except ValueError as exc:
         raise _fail(where, f"field '{key}': {exc}") from None
 
 
-def _config_from_wire(obj) -> PolicyConfig:
-    where = "config"
-    config = _want_object(obj, where)
-    return PolicyConfig(
-        multi_admin=_want_bool(config, "multi_admin", where),
-        self_registration=_want_enum(config, "self_registration", SelfRegistrationMode, where),
-        allow_self_password_change=_want_bool(config, "allow_self_password_change", where),
-        session_ttl_seconds=_want_int(config, "session_ttl_seconds", where),
-        log_denials=_want_bool(config, "log_denials", where),
-    )
+def _detail(raw, key: str, where: str) -> dict:
+    for name, value in _want_object(raw, where).items():
+        if not isinstance(name, str) or not isinstance(value, str):
+            raise _fail(where, "detail must map strings to strings")
+    return dict(raw)
 
 
-def _user_from_wire(obj, where: str) -> UserRecord:
-    user = _want_object(obj, where)
-    failures = _want_int(user, "recovery_failures", where) if "recovery_failures" in user else 0
-    return UserRecord(
-        user_id=_want_str(user, "user_id", where),
-        password_digest=_want_digest(user, "password_digest", where),
-        role=_want_enum(user, "role", Role, where),
-        status=_want_enum(user, "status", UserStatus, where),
-        hint_question=_want_str(user, "hint_question", where),
-        hint_answer_digest=_want_digest(user, "hint_answer_digest", where),
-        created_by=_want_str(user, "created_by", where),
-        created_at=_want_instant(user, "created_at", where),
-        recovery_failures=failures,
-    )
+_ENUM = attrgetter("value")  # an enum member is stored as its value
 
-
-def _grant_from_wire(obj, where: str) -> SpecialGrant:
-    grant = _want_object(obj, where)
-    expiry = None
-    if grant.get("expiry") is not None:
-        expiry = _want_instant(grant, "expiry", where)
-    return SpecialGrant(
-        grant_id=_want_str(grant, "grant_id", where),
-        user_id=_want_str(grant, "user_id", where),
-        resource_id=_want_str(grant, "resource_id", where),
-        level=_want_enum(grant, "level", AccessLevel, where),
-        expiry=expiry,
-        granted_by=_want_str(grant, "granted_by", where),
-        granted_at=_want_instant(grant, "granted_at", where),
-    )
-
-
-def _resource_from_wire(obj, where: str) -> Resource:
-    resource = _want_object(obj, where)
-    description = resource.get("description")
-    if description is not None and not isinstance(description, str):
-        raise _fail(where, "field 'description' must be a string or null")
-    return Resource(
-        resource_id=_want_str(resource, "resource_id", where),
-        display_name=_want_str(resource, "display_name", where),
-        data_class=_want_enum(resource, "data_class", DataClass, where),
-        menu_group=_want_enum(resource, "menu_group", MenuGroup, where),
-        required_level=_want_enum(resource, "required_level", AccessLevel, where),
-        description=description,
-    )
-
-
-def _session_from_wire(obj, where: str) -> Session:
-    session = _want_object(obj, where)
-    return Session(
-        token=_want_str(session, "token", where),
-        user_id=_want_str(session, "user_id", where),
-        issued_at=_want_instant(session, "issued_at", where),
-        expires_at=_want_instant(session, "expires_at", where),
-    )
-
-
-# In decode order: the first problem in a corrupt store is the one reported.
-_RECORD_DECODERS = {
-    "users": _user_from_wire,
-    "grants": _grant_from_wire,
-    "resources": _resource_from_wire,
-    "sessions": _session_from_wire,
+# (key, encode, decode) per field; ``encode`` is None for values JSON carries
+# as they are.  Wire keys are the attribute names, and the order is the decode
+# order, so the first problem in a corrupt record is the one reported.
+_FIELDS = {
+    PolicyConfig: (
+        ("multi_admin", None, _bool),
+        ("self_registration", _ENUM, _enum(SelfRegistrationMode)),
+        ("allow_self_password_change", None, _bool),
+        ("session_ttl_seconds", None, _int),
+        ("log_denials", None, _bool),
+    ),
+    UserRecord: (
+        ("recovery_failures", None, _int_or_zero),
+        ("user_id", None, _str),
+        ("password_digest", digest_to_wire, _digest),
+        ("role", _ENUM, _enum(Role)),
+        ("status", _ENUM, _enum(UserStatus)),
+        ("hint_question", None, _str),
+        ("hint_answer_digest", digest_to_wire, _digest),
+        ("created_by", None, _str),
+        ("created_at", format_instant, _instant),
+    ),
+    SpecialGrant: (
+        ("expiry", lambda at: None if at is None else format_instant(at), _instant_or_null),
+        ("grant_id", None, _str),
+        ("user_id", None, _str),
+        ("resource_id", None, _str),
+        ("level", _ENUM, _enum(AccessLevel)),
+        ("granted_by", None, _str),
+        ("granted_at", format_instant, _instant),
+    ),
+    Resource: (
+        ("description", None, _str_or_null),
+        ("resource_id", None, _str),
+        ("display_name", None, _str),
+        ("data_class", _ENUM, _enum(DataClass)),
+        ("menu_group", _ENUM, _enum(MenuGroup)),
+        ("required_level", _ENUM, _enum(AccessLevel)),
+    ),
+    Session: (
+        ("token", None, _str),
+        ("user_id", None, _str),
+        ("issued_at", format_instant, _instant),
+        ("expires_at", format_instant, _instant),
+    ),
+    AuditEvent: (
+        ("detail", dict, _detail),
+        ("seq", None, _int),
+        ("at", format_instant, _instant),
+        ("actor", None, _str),
+        ("kind", None, _str),
+    ),
 }
+
+_ENCODERS = {
+    record_type: tuple((key, encode) for key, encode, _ in fields if encode is not None)
+    for record_type, fields in _FIELDS.items()
+}
+
+# The document's record lists, in decode order.
+_RECORD_LISTS = {"users": UserRecord, "grants": SpecialGrant, "resources": Resource, "sessions": Session}
+
+
+def to_wire(record) -> dict:
+    """The stored JSON form of any record in ``_FIELDS``."""
+    wire = vars(record).copy()
+    for key, encode in _ENCODERS[type(record)]:
+        wire[key] = encode(wire[key])
+    return wire
+
+
+def _from_wire(record_type, obj, where: str):
+    get = _want_object(obj, where).get
+    values = {}
+    for key, _, decode in _FIELDS[record_type]:
+        values[key] = decode(get(key, _ABSENT), key, where)
+    return record_type(**values)
+
+
+def document_to_wire(doc: StoreDocument) -> dict:
+    wire = {"version": doc.version, "config": to_wire(doc.config)}
+    for key in _RECORD_LISTS:
+        wire[key] = [to_wire(record) for record in getattr(doc, key)]
+    return wire
 
 
 def document_from_wire(data) -> StoreDocument:
@@ -294,16 +279,17 @@ def document_from_wire(data) -> StoreDocument:
         raise _fail("document", "field 'version' must be an integer")
     if version != STORE_VERSION:
         raise UnsupportedVersion(f"unsupported store version {version} (supported: {STORE_VERSION})")
-    expected_keys = {"version", "config", "users", "grants", "resources", "sessions"}
-    unknown = set(top) - expected_keys
+    unknown = set(top) - {"version", "config", *_RECORD_LISTS}
     if unknown:
         raise _fail("document", f"unknown top-level keys: {sorted(unknown)}")
     try:
-        config = _config_from_wire(top.get("config"))
-        records = {
-            key: tuple(decode(obj, f"{key}[{i}]") for i, obj in enumerate(_want_list(top.get(key), key)))
-            for key, decode in _RECORD_DECODERS.items()
-        }
+        config = _from_wire(PolicyConfig, top.get("config"), "config")
+        records = {}
+        for key, record_type in _RECORD_LISTS.items():
+            items = top.get(key)
+            if not isinstance(items, list):
+                raise _fail(key, "expected a list")
+            records[key] = tuple(_from_wire(record_type, obj, f"{key}[{i}]") for i, obj in enumerate(items))
         return StoreDocument(version=version, config=config, **records)
     except (ValidationFailure, UnsupportedVersion):
         raise
@@ -451,51 +437,6 @@ def load(path: str | Path) -> StoreDocument:
 # Audit log
 
 
-@dataclass(frozen=True)
-class AuditEntry:
-    """A pending audit event: everything but the sequence number and stamp,
-    which the log assigns at append time."""
-
-    actor: str
-    kind: str
-    detail: Mapping[str, str]
-
-
-@dataclass(frozen=True)
-class AuditEvent:
-    seq: int
-    at: datetime
-    actor: str
-    kind: str
-    detail: Mapping[str, str]
-
-
-def event_to_wire(event: AuditEvent) -> dict:
-    return {
-        "seq": event.seq,
-        "at": format_instant(event.at),
-        "actor": event.actor,
-        "kind": event.kind,
-        "detail": dict(event.detail),
-    }
-
-
-def event_from_wire(obj: dict) -> AuditEvent:
-    where = "audit event"
-    event = _want_object(obj, where)
-    detail = _want_object(event.get("detail"), where)
-    for key, value in detail.items():
-        if not isinstance(key, str) or not isinstance(value, str):
-            raise _fail(where, "detail must map strings to strings")
-    return AuditEvent(
-        seq=_want_int(event, "seq", where),
-        at=_want_instant(event, "at", where),
-        actor=_want_str(event, "actor", where),
-        kind=_want_str(event, "kind", where),
-        detail=dict(detail),
-    )
-
-
 class AuditLog:
     """Append-only event log with strictly increasing sequence numbers."""
 
@@ -568,7 +509,7 @@ class FileAuditLog(AuditLog):
 
     def append(self, entry: AuditEntry, at: datetime) -> AuditEvent:
         event = AuditEvent(seq=self._next_seq, at=at, actor=entry.actor, kind=entry.kind, detail=dict(entry.detail))
-        line = json.dumps(event_to_wire(event), sort_keys=True) + "\n"
+        line = json.dumps(to_wire(event), sort_keys=True) + "\n"
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a+b") as handle:
@@ -598,7 +539,7 @@ class FileAuditLog(AuditLog):
             if not line:
                 continue
             try:
-                out.append(event_from_wire(json.loads(line.decode("utf-8"))))
+                out.append(_from_wire(AuditEvent, json.loads(line.decode("utf-8")), "audit event"))
             except (ValueError, GatekeeperError):
                 continue
         return out

@@ -24,7 +24,7 @@ from .directory import require_admin
 from .engine import ANONYMOUS, Principal
 from .errors import GatekeeperError, InvalidArgument, InvalidToken, UnknownResource
 from .model import AccessLevel, Role, UserStatus, find_resource
-from .store import event_to_wire, grant_to_wire, parse_instant, resource_to_wire, session_to_wire
+from .store import parse_instant, to_wire
 from .wire import decision_wire, menu_wire, public_user
 
 #: Largest request body the socket server reads; longer ones get a 413.
@@ -190,7 +190,7 @@ class PolicyService:
     def _login(self, request: HttpRequest) -> HttpResponse:
         body = self._body(request)
         session = self.gatekeeper.login(self._want(body, "user_id"), self._want(body, "password"))
-        return _respond(200, session_to_wire(session))
+        return _respond(200, to_wire(session))
 
     def _logout(self, request: HttpRequest) -> HttpResponse:
         self.gatekeeper.logout(self._required_token(request))
@@ -220,7 +220,7 @@ class PolicyService:
             # Denied and nonexistent pages answer identically.
             return _respond(404, _PAGE_NOT_FOUND)
         resource = find_resource(self.gatekeeper.snapshot, resource_id)
-        return _respond(200, resource_to_wire(resource))
+        return _respond(200, to_wire(resource))
 
     def _register(self, request: HttpRequest) -> HttpResponse:
         body = self._body(request)
@@ -297,7 +297,7 @@ class PolicyService:
             self._parse_enum(AccessLevel, self._want(body, "level"), "access level"),
             self._parse_expiry(body),
         )
-        return _respond(201, grant_to_wire(grant))
+        return _respond(201, to_wire(grant))
 
     def _admin_delete_grant(self, request: HttpRequest, grant_id: str) -> HttpResponse:
         actor = self._authenticated(request)
@@ -320,7 +320,7 @@ class PolicyService:
         events = self.gatekeeper.audit_events(
             kind=query.get("kind"), actor=query.get("actor"), since=since, until=until, limit=limit
         )
-        return _respond(200, {"events": [event_to_wire(e) for e in events]})
+        return _respond(200, {"events": [to_wire(e) for e in events]})
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Outward-facing JSON views that differ from the stored record forms.
 
 Grants, resources, sessions and audit events cross the CLI and HTTP
-boundary in their stored form (``store.grant_to_wire`` and its siblings).
-Only the views that differ live here: the redacted user record, and the
-decision and menu views derived from the engine's results.
+boundary in their stored form (``store.to_wire``).  Only the views that
+differ live here: the redacted user record, and the decision and menu views
+derived from the engine's results.
 
 User records cross this boundary redacted: no digest bytes, no salts, no
-plaintext secrets ever appear in a serialized view.
+plaintext secrets ever appear in a serialized view.  :func:`public_user`
+names every field it shows, so a field added to the record stays private
+until it is added here.
 """
 
 from __future__ import annotations

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import fcntl
 import io
 import json
 import os
+import socket
 import threading
 import time
 from pathlib import Path
@@ -427,6 +429,27 @@ class TestServeCommand:
         finally:
             process.terminate()
             process.communicate(timeout=10)  # waits, and closes the pipes
+
+
+    @pytest.mark.parametrize("bind", ["127.0.0.1:99999", "127.0.0.1:\u0663"], ids=["out-of-range", "non-ascii-digit"])
+    def test_bad_port_is_a_usage_error(self, booted, monkeypatch, bind):
+        def unreachable(*args):
+            raise AssertionError("the server must not be started")
+
+        monkeypatch.setattr(cli, "make_server", unreachable)
+        code, out, err = run(["serve", "--bind", bind], booted)
+        assert (code, out, err) == (2, "", "error: --bind must look like HOST:PORT\n")
+
+    def test_port_in_use_is_an_io_failure(self, booted):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            code, out, err = run(["serve", "--json", "--bind", f"127.0.0.1:{port}"], booted)
+        message = f"cannot listen on 127.0.0.1:{port}: [Errno {errno.EADDRINUSE}] {os.strerror(errno.EADDRINUSE)}"
+        assert code == 1
+        assert json.loads(out) == {"error": "io_failure", "message": message}
+        assert err == f"error: {message}\n"
 
 
 class TestStoreWrites:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import os
 import random
@@ -34,6 +35,7 @@ from gatekeeper.model import (
     UserStatus,
 )
 from gatekeeper.store import (
+    _FIELDS,
     FileAuditLog,
     MemoryAuditLog,
     AuditEntry,
@@ -135,6 +137,11 @@ class TestRoundTrip:
         assert len(objects) == 1 + 1 + 2 * 3 + 3
         for keys in objects:
             assert keys == sorted(keys)
+
+    def test_field_table_names_every_attribute(self):
+        # to_wire copies a record's attributes, so the table must name each one.
+        for record_type, fields in _FIELDS.items():
+            assert sorted(key for key, _, _ in fields) == sorted(f.name for f in dataclasses.fields(record_type))
 
     def test_many_random_worlds_round_trip(self, tmp_path):
         rng = random.Random(20260601)
