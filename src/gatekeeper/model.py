@@ -245,6 +245,9 @@ class Session:
     issued_at: datetime
     expires_at: datetime
 
+    def live_at(self, now: datetime) -> bool:
+        return now <= self.expires_at
+
 
 @dataclass(frozen=True)
 class StoreDocument:

@@ -53,9 +53,13 @@ from .store import AuditEntry
 RECOVERY_LOCK_THRESHOLD = 5
 
 
+def _expiry(doc: StoreDocument, now: datetime) -> datetime:
+    """When a session issued or used at ``now`` expires."""
+    return now + timedelta(seconds=doc.config.session_ttl_seconds)
+
+
 def _issue_session(doc: StoreDocument, user: UserRecord, now: datetime) -> Session:
-    ttl = timedelta(seconds=doc.config.session_ttl_seconds)
-    return Session(token=new_session_token(), user_id=user.user_id, issued_at=now, expires_at=now + ttl)
+    return Session(token=new_session_token(), user_id=user.user_id, issued_at=now, expires_at=_expiry(doc, now))
 
 
 def login(
@@ -103,7 +107,7 @@ def _locate(doc: StoreDocument, token: str, now: datetime) -> tuple[Session, Use
     """The live session of ``token`` and its user, or None when the token is
     unknown or expired, or its user is missing or disabled."""
     session = find_session(doc, token)
-    if session is None or now > session.expires_at:
+    if session is None or not session.live_at(now):
         return None
     user = find_user(doc, session.user_id)
     if user is None or user.status is UserStatus.DISABLED:
@@ -118,7 +122,7 @@ def resolve(doc: StoreDocument, token: str, *, now: datetime) -> MutationResult:
     if located is None:
         return _drop_session(doc, token), InvalidToken(), None
     session, user = located
-    extended = replace(session, expires_at=now + timedelta(seconds=doc.config.session_ttl_seconds))
+    extended = replace(session, expires_at=_expiry(doc, now))
     sessions = tuple(extended if s.token == token else s for s in doc.sessions)
     return replace(doc, sessions=sessions), principal_for(user), None
 
@@ -223,7 +227,7 @@ def recover_complete(
 
 def prune_expired_sessions(doc: StoreDocument, now: datetime) -> StoreDocument:
     """Drop sessions past their expiry.  Applied before each snapshot save."""
-    live = tuple(s for s in doc.sessions if now <= s.expires_at)
+    live = tuple(s for s in doc.sessions if s.live_at(now))
     if len(live) == len(doc.sessions):
         return doc
     return replace(doc, sessions=live)

@@ -5,10 +5,15 @@ Each stored record's wire form is declared once, in ``_FIELDS``, which
 :func:`to_wire` and the loader read in opposite directions.  The record
 constructors in ``model`` enforce the per-record invariants, so a record that
 breaks one cannot exist; :func:`validate_document` enforces the store-wide
-invariants on both save and load.  The audit log is a sibling
-``.audit.jsonl`` file, one JSON object per line with a strictly increasing
-sequence number; audit lines are written ahead of the snapshot they
-describe, so after a crash the audit is a superset of the persisted history.
+invariants on both save and load.
+
+The audit log is a sibling ``.audit.jsonl`` file, one JSON object per line
+with a strictly increasing sequence number; audit lines are written ahead of
+the snapshot they describe, so after a crash the audit is a superset of the
+persisted history.  One :class:`AuditLog` encodes, decodes and numbers the
+lines, whether they live in that file or in memory.  A line that does not
+decode (a torn tail, say) is skipped on read, and its sequence number is
+never handed out again.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from typing import Mapping
 from .credentials import digest_from_wire, digest_to_wire
 from .errors import (
     GatekeeperError,
+    InvalidArgument,
     IoFailure,
     ParseFailure,
     UnsupportedVersion,
@@ -69,7 +75,10 @@ def parse_instant(text: str) -> datetime:
         raise ValueError(f"not an RFC 3339 instant: {text!r}") from None
     if dt.tzinfo is None:
         raise ValueError(f"instant lacks a timezone: {text!r}")
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"instant is out of range: {text!r}") from None
 
 
 def audit_path_for(store_path: str | Path) -> Path:
@@ -260,7 +269,10 @@ def _from_wire(record_type, obj, where: str):
     values = {}
     for key, _, decode in _FIELDS[record_type]:
         values[key] = decode(get(key, _ABSENT), key, where)
-    return record_type(**values)
+    try:
+        return record_type(**values)
+    except InvalidArgument as exc:  # a per-record invariant of ``model``
+        raise _fail(where, exc.message) from None
 
 
 def document_to_wire(doc: StoreDocument) -> dict:
@@ -297,7 +309,7 @@ def document_from_wire(data) -> StoreDocument:
         return StoreDocument(version=version, config=config, **records)
     except (ValidationFailure, UnsupportedVersion):
         raise
-    except Exception as exc:  # constructor-level invariant violations
+    except Exception as exc:  # a safety net for outside input
         raise ValidationFailure(str(exc)) from None
 
 
@@ -441,14 +453,43 @@ def load(path: str | Path) -> StoreDocument:
 # Audit log
 
 
+def _last_seq(lines: list[bytes]) -> int:
+    """The ``seq`` of the last line that is a JSON object with an integer
+    ``seq``, whether or not it decodes as an event, so that a skipped line's
+    number is never handed out again; 0 if there is none."""
+    for line in reversed(lines):
+        try:
+            obj = json.loads(line.decode("utf-8"))
+        except ValueError:
+            continue
+        seq = obj.get("seq") if isinstance(obj, dict) else None
+        if isinstance(seq, int) and not isinstance(seq, bool):
+            return seq
+    return 0
+
+
 class AuditLog:
-    """Append-only event log with strictly increasing sequence numbers."""
+    """Append-only log of sorted-key JSON lines, one per event, with strictly
+    increasing sequence numbers; a line that does not decode is skipped.
+    Subclasses keep the lines: ``_lines()`` returns them, ``_write`` adds one."""
+
+    def __init__(self):
+        self._next_seq = _last_seq(self._lines()) + 1
 
     def append(self, entry: AuditEntry, at: datetime) -> AuditEvent:
-        raise NotImplementedError
+        event = AuditEvent(seq=self._next_seq, at=at, actor=entry.actor, kind=entry.kind, detail=dict(entry.detail))
+        self._write(json.dumps(to_wire(event), sort_keys=True).encode("utf-8"))
+        self._next_seq += 1
+        return event
 
     def events(self) -> list[AuditEvent]:
-        raise NotImplementedError
+        out: list[AuditEvent] = []
+        for line in self._lines():
+            try:
+                out.append(_from_wire(AuditEvent, json.loads(line.decode("utf-8")), "audit event"))
+            except (ValueError, GatekeeperError):
+                continue
+        return out
 
     def query(
         self,
@@ -475,45 +516,36 @@ class AuditLog:
 
 
 class MemoryAuditLog(AuditLog):
+    """Lines held in a list, encoded exactly as the file log writes them."""
+
     def __init__(self):
-        self._events: list[AuditEvent] = []
+        self._stored: list[bytes] = []
+        super().__init__()
 
-    def append(self, entry: AuditEntry, at: datetime) -> AuditEvent:
-        event = AuditEvent(
-            seq=self._events[-1].seq + 1 if self._events else 1,
-            at=at,
-            actor=entry.actor,
-            kind=entry.kind,
-            detail=dict(entry.detail),
-        )
-        self._events.append(event)
-        return event
+    def _lines(self) -> list[bytes]:
+        return self._stored
 
-    def events(self) -> list[AuditEvent]:
-        return list(self._events)
+    def _write(self, line: bytes) -> None:
+        self._stored.append(line)
 
 
 class FileAuditLog(AuditLog):
-    """One JSON object per line.  Each append is flushed and fsynced before
-    returning, so the log is written ahead of the snapshot it describes.
-
-    Lines that fail to parse (e.g. a torn tail after a crash) are skipped on
-    read rather than taking the whole log down.
-    """
+    """Each append is flushed and fsynced before returning, so the log is
+    written ahead of the snapshot it describes.  A missing file has no lines."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._next_seq = self._scan_next_seq()
+        super().__init__()
 
-    def _scan_next_seq(self) -> int:
-        last = 0
-        for event in self.events():
-            last = event.seq
-        return last + 1
+    def _lines(self) -> list[bytes]:
+        try:
+            return self.path.read_bytes().splitlines()
+        except FileNotFoundError:
+            return []
+        except OSError as exc:
+            raise IoFailure(f"cannot read audit log {self.path}: {exc}") from exc
 
-    def append(self, entry: AuditEntry, at: datetime) -> AuditEvent:
-        event = AuditEvent(seq=self._next_seq, at=at, actor=entry.actor, kind=entry.kind, detail=dict(entry.detail))
-        line = json.dumps(to_wire(event), sort_keys=True) + "\n"
+    def _write(self, line: bytes) -> None:
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a+b") as handle:
@@ -522,28 +554,8 @@ class FileAuditLog(AuditLog):
                     handle.seek(-1, os.SEEK_END)
                     if handle.read(1) != b"\n":
                         handle.write(b"\n")
-                handle.write(line.encode("utf-8"))
+                handle.write(line + b"\n")
                 handle.flush()
                 os.fsync(handle.fileno())
         except OSError as exc:
             raise IoFailure(f"cannot append to audit log {self.path}: {exc}") from exc
-        self._next_seq += 1
-        return event
-
-    def events(self) -> list[AuditEvent]:
-        try:
-            payload = self.path.read_bytes()
-        except FileNotFoundError:
-            return []
-        except OSError as exc:
-            raise IoFailure(f"cannot read audit log {self.path}: {exc}") from exc
-        out: list[AuditEvent] = []
-        for raw_line in payload.splitlines():
-            line = raw_line.strip()
-            if not line:
-                continue
-            try:
-                out.append(_from_wire(AuditEvent, json.loads(line.decode("utf-8")), "audit event"))
-            except (ValueError, GatekeeperError):
-                continue
-        return out

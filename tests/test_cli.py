@@ -331,8 +331,9 @@ class TestUsageErrors:
         [
             admin_args(["grant", "add", "root", "page", "--level", "read", "--expires", "garbage"]),
             ["audit", "tail", "-n", "-3"],
+            ["check", "--resource", "page", "--level", "read", "--now", "0001-01-01T00:00:00+01:00"],
         ],
-        ids=["expires", "negative-lines"],
+        ids=["expires", "negative-lines", "out-of-range-now"],
     )
     def test_bad_option_value_is_a_usage_error(self, booted, args):
         store = Path(booted["GATEKEEPER_STORE"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from datetime import timedelta
 
 import pytest
 
@@ -16,13 +17,14 @@ from gatekeeper.model import (
     PolicyConfig,
     Resource,
     Role,
+    Session,
     baseline_allows,
     role_dominates,
     user_id_syntax_error,
 )
 
 from reference import BASELINE_TABLE, DOMINANCE_TABLE
-from worlds import make_user
+from worlds import NOW, PAST, make_user
 
 
 class TestRoleDominance:
@@ -122,6 +124,11 @@ class TestValueConstructors:
     def test_recovery_failures_must_not_be_negative(self):
         with pytest.raises(InvalidArgument):
             replace(make_user("ann"), recovery_failures=-1)
+
+    def test_session_is_live_through_its_expiry_instant(self):
+        session = Session("tok", "ann", PAST, NOW)
+        assert session.live_at(PAST) and session.live_at(NOW)
+        assert not session.live_at(NOW + timedelta(microseconds=1))
 
     def test_exactly_five_roles_four_classes_three_levels(self):
         assert len(Role) == 5

@@ -72,6 +72,10 @@ BAD_FIELDS = [
     (("users", 1, "user_id"), _ABSENT, "users[1]: field 'user_id' must be a string"),
     (("users", 1, "created_at"), "2026-06-01T12:00:00",
      "users[1]: field 'created_at': instant lacks a timezone: '2026-06-01T12:00:00'"),
+    (("users", 1, "created_at"), "0001-01-01T00:00:00+01:00",
+     "users[1]: field 'created_at': instant is out of range: '0001-01-01T00:00:00+01:00'"),
+    (("users", 1, "role"), "outsider", "users[1]: stored users cannot hold the outsider role"),
+    (("users", 1, "recovery_failures"), -1, "users[1]: recovery_failures must be >= 0"),
     (("users", 1, "recovery_failures"), True, "users[1]: field 'recovery_failures' must be an integer"),
     (("users", 1, "recovery_failures"), None, "users[1]: field 'recovery_failures' must be an integer"),
     (("users", 1, "password_digest"), "x", "users[1]: field 'password_digest': digest must be an object"),
@@ -83,13 +87,15 @@ BAD_FIELDS = [
     (("config", "multi_admin"), "yes", "config: field 'multi_admin' must be a boolean"),
     (("config", "self_registration"), "open", "config: field 'self_registration' has unknown value 'open'"),
     (("config", "session_ttl_seconds"), 1.5, "config: field 'session_ttl_seconds' must be an integer"),
-    (("config", "session_ttl_seconds"), 0, "session_ttl_seconds must be a positive integer"),
+    (("config", "session_ttl_seconds"), 0, "config: session_ttl_seconds must be a positive integer"),
     (("grants", 0, "expiry"), "soon", "grants[0]: field 'expiry': not an RFC 3339 instant: 'soon'"),
-    (("grants", 0, "level"), "admin", "grants never carry the admin level"),
+    (("grants", 0, "level"), "admin", "grants[0]: grants never carry the admin level"),
     (("grants", 2, "granted_at"), 0, "grants[2]: field 'granted_at' must be a string"),
     (("resources", 0, "description"), 5, "resources[0]: field 'description' must be a string or null"),
+    (("resources", 0, "resource_id"), "", "resources[0]: resource_id must not be empty"),
     (("resources", 4, "required_level"), "read",
-     "admin-menu resources require the admin level and the admin level belongs only to admin-menu resources"),
+     "resources[4]: admin-menu resources require the admin level and the admin level belongs only to admin-menu "
+     "resources"),
     (("sessions", 0, "expires_at"), None, "sessions[0]: field 'expires_at' must be a string"),
     (("version",), "1", "document: field 'version' must be an integer"),
 ]
@@ -465,7 +471,7 @@ class TestV1Format:
 
     @pytest.mark.parametrize("field, value", [
         ("seq", True), ("seq", "7"), ("at", "soon"), ("actor", None), ("kind", 5),
-        ("detail", []), ("detail", {"k": 1}), ("detail", None),
+        ("detail", []), ("detail", {"k": 1}), ("detail", None), ("at", "0001-01-01T00:00:00+01:00"),
     ])
     def test_malformed_audit_line_is_skipped(self, tmp_path, field, value):
         line = {"actor": "root", "at": "2026-06-02T00:00:00Z", "detail": {}, "kind": "x", "seq": 7, field: value}
@@ -578,21 +584,26 @@ class TestAtomicSave:
         assert path.read_bytes() == before
 
 
-class TestAuditLog:
-    def test_memory_sequence(self):
-        log = MemoryAuditLog()
-        first = log.append(AuditEntry("root", "user_created", {"user_id": "ann"}), NOW)
-        second = log.append(AuditEntry("root", "user_created", {"user_id": "bob"}), NOW)
-        assert (first.seq, second.seq) == (1, 2)
+@pytest.fixture(params=["memory", "file"])
+def audit_log(request, tmp_path):
+    """Each audit log, empty; both must behave the same."""
+    return MemoryAuditLog() if request.param == "memory" else FileAuditLog(tmp_path / "x.audit.jsonl")
 
-    def test_file_log_appends_and_queries(self, tmp_path):
-        log = FileAuditLog(tmp_path / "x.audit.jsonl")
-        log.append(AuditEntry("root", "login_failed", {"cause": "bad_password"}), NOW)
-        log.append(AuditEntry("root", "login_succeeded", {}), NOW)
-        log.append(AuditEntry("ann", "login_failed", {"cause": "unknown_user"}), NOW)
-        failed = log.query(kind="login_failed")
+
+class TestAuditLog:
+    def test_sequence(self, audit_log):
+        first = audit_log.append(AuditEntry("root", "user_created", {"user_id": "ann"}), NOW)
+        second = audit_log.append(AuditEntry("root", "user_created", {"user_id": "bob"}), NOW)
+        assert (first.seq, second.seq) == (1, 2)
+        assert audit_log.events() == [first, second]
+
+    def test_appends_and_queries(self, audit_log):
+        audit_log.append(AuditEntry("root", "login_failed", {"cause": "bad_password"}), NOW)
+        audit_log.append(AuditEntry("root", "login_succeeded", {}), NOW)
+        audit_log.append(AuditEntry("ann", "login_failed", {"cause": "unknown_user"}), NOW)
+        failed = audit_log.query(kind="login_failed")
         assert [e.actor for e in failed] == ["root", "ann"]
-        assert [e.seq for e in log.events()] == [1, 2, 3]
+        assert [e.seq for e in audit_log.events()] == [1, 2, 3]
 
     def test_file_log_resumes_sequence_across_instances(self, tmp_path):
         path = tmp_path / "x.audit.jsonl"
@@ -634,14 +645,41 @@ class TestAuditLog:
         assert audit_path_for(tmp_path / "mis.json") == tmp_path / "mis.audit.jsonl"
         assert audit_path_for(tmp_path / "db.v1.json") == tmp_path / "db.v1.audit.jsonl"
 
-    def test_time_range_query(self, tmp_path):
-        log = FileAuditLog(tmp_path / "x.audit.jsonl")
-        log.append(AuditEntry("root", "a", {}), PAST)
-        log.append(AuditEntry("root", "b", {}), NOW)
-        log.append(AuditEntry("root", "c", {}), FUTURE)
-        assert [e.kind for e in log.query(since=NOW)] == ["b", "c"]
-        assert [e.kind for e in log.query(until=NOW)] == ["a", "b"]
-        assert [e.kind for e in log.query(limit=1)] == ["c"]
+    def test_time_range_query(self, audit_log):
+        audit_log.append(AuditEntry("root", "a", {}), PAST)
+        audit_log.append(AuditEntry("root", "b", {}), NOW)
+        audit_log.append(AuditEntry("root", "c", {}), FUTURE)
+        assert [e.kind for e in audit_log.query(since=NOW)] == ["b", "c"]
+        assert [e.kind for e in audit_log.query(until=NOW)] == ["a", "b"]
+        assert [e.kind for e in audit_log.query(limit=1)] == ["c"]
+
+    def test_undecodable_event_is_skipped_and_its_seq_not_reused(self, audit_log):
+        audit_log.append(AuditEntry("root", "a", {"n": 1}), NOW)  # detail values must be strings
+        event = audit_log.append(AuditEntry("root", "b", {}), NOW)
+        assert event.seq == 2
+        assert audit_log.events() == [event]
+
+    @pytest.mark.parametrize(
+        "field, value", [("detail", {"n": 1}), ("at", "0001-01-01T00:00:00+01:00")], ids=["detail", "out-of-range-at"]
+    )
+    def test_reopened_log_does_not_reuse_a_skipped_seq(self, tmp_path, field, value):
+        path = tmp_path / "x.audit.jsonl"
+        skipped = {"actor": "root", "at": "2026-06-02T00:00:00Z", "detail": {}, "kind": "x", "seq": 7, field: value}
+        path.write_bytes((DATA / "audit_v1.jsonl").read_bytes() + json.dumps(skipped).encode() + b"\n")
+        assert FileAuditLog(path).append(AuditEntry("root", "b", {}), NOW).seq == 8
+        assert [e.seq for e in FileAuditLog(path).events()] == [1, 2, 3, 4, 5, 6, 8]
+
+    def test_opening_a_file_log_decodes_no_event(self, tmp_path, monkeypatch):
+        import gatekeeper.store as store
+
+        path = tmp_path / "x.audit.jsonl"
+        shutil.copyfile(DATA / "audit_v1.jsonl", path)
+
+        def refuse(*args):
+            raise AssertionError("an event was decoded")
+
+        monkeypatch.setattr(store, "_from_wire", refuse)
+        assert FileAuditLog(path).append(AuditEntry("root", "b", {}), NOW).seq == 7
 
 
 class TestAuditRoundTripAllKinds:
@@ -760,3 +798,11 @@ class TestSessionPruningOnSave:
         clock.advance(seconds=gk.config.session_ttl_seconds + 60)
         gk.create_user(admin, "ann", "password1", Role.STAFF)
         assert all(s.token != session.token for s in gk.snapshot.sessions)
+
+    def test_session_at_its_expiry_instant_is_kept(self, clock):
+        gk = Gatekeeper.bootstrap("root", "rootpass1", clock=clock, digest_cost=FAST_COST).gatekeeper
+        admin = gk.principal_for("root")
+        session = gk.login("root", "rootpass1")
+        clock.advance(seconds=gk.config.session_ttl_seconds)
+        gk.create_user(admin, "ann", "password1", Role.STAFF)
+        assert session in gk.snapshot.sessions

@@ -331,6 +331,15 @@ class TestAdminEndpoints:
         response = call(service, "GET", "/api/admin/audit?since=not-a-date", token=token)
         assert response.status == 400
 
+    def test_out_of_range_audit_since_400(self, service):
+        token = login(service, "root", "rootpass1")
+        response = call(service, "GET", "/api/admin/audit?since=0001-01-01T00:00:00%2B01:00", token=token)
+        assert response.status == 400
+        assert response.json() == {
+            "error": "invalid_argument",
+            "message": "instant is out of range: '0001-01-01T00:00:00+01:00'",
+        }
+
     def test_negative_audit_limit_400(self, service):
         token = login(service, "root", "rootpass1")
         response = call(service, "GET", "/api/admin/audit?limit=-1", token=token)
