@@ -15,7 +15,6 @@ from .engine import (
     MenuItem,
     MenuTree,
     Principal,
-    PrincipalKind,
     Verdict,
     decide,
     principal_for,
@@ -57,7 +56,6 @@ __all__ = [
     "MenuTree",
     "PolicyConfig",
     "Principal",
-    "PrincipalKind",
     "Resource",
     "Role",
     "SelfRegistrationMode",

@@ -172,7 +172,7 @@ class Gatekeeper:
 
     # -- user directory ------------------------------------------------------
 
-    def validate_user_id(self, candidate: str) -> directory.IdCheck:
+    def validate_user_id(self, candidate: str) -> GatekeeperError | None:
         return directory.validate_user_id(self._doc, candidate)
 
     def create_user(

@@ -398,8 +398,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hint-question", default="")
     p.add_argument("--hint-answer", default="")
     p.add_argument("--multi-admin", action="store_true")
-    p.add_argument("--self-registration", default="disabled", choices=_REGISTRATION_CHOICES)
-    p.add_argument("--session-ttl", type=int, default=1800)
+    p.add_argument(
+        "--self-registration",
+        default=PolicyConfig.self_registration.value.replace("_", "-"),
+        choices=_REGISTRATION_CHOICES,
+    )
+    p.add_argument("--session-ttl", type=int, default=PolicyConfig.session_ttl_seconds)
     p.add_argument("--no-self-password-change", action="store_true")
     p.add_argument("--no-log-denials", action="store_true")
     p.set_defaults(func=cmd_bootstrap)
@@ -523,9 +527,11 @@ def execute(
                 raise UsageError(f"no store given: pass --store or set ${STORE_ENV}")
             clock = system_clock if args.now is None else lambda: args.now
             try:
-                digest_cost = int(env.get(KDF_COST_ENV, DEFAULT_COST))
-            except ValueError:
-                raise UsageError(f"${KDF_COST_ENV} must be an integer") from None
+                digest_cost = _count(env.get(KDF_COST_ENV, str(DEFAULT_COST)))
+            except argparse.ArgumentTypeError:
+                digest_cost = 0
+            if digest_cost < 1:
+                raise UsageError(f"${KDF_COST_ENV} must be a positive integer")
             ctx = Ctx(
                 env=env,
                 stdout=out,

@@ -8,13 +8,12 @@ principal who must be an active administrator.
 
 from __future__ import annotations
 
-import enum
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from datetime import datetime
 
 from .credentials import make_digest, make_hint_digest, MIN_PASSWORD_LENGTH
-from .engine import Principal, PrincipalKind
+from .engine import Principal
 from .errors import (
     AdminCapExceeded,
     AdminLevelNotGrantable,
@@ -57,37 +56,22 @@ SELF_REGISTRATION_ACTOR = "self-registration"
 MutationResult = tuple[StoreDocument | None, object, AuditEntry | None]
 
 
-class IdAvailability(enum.Enum):
-    AVAILABLE = "available"
-    TAKEN = "taken"
-    INVALID = "invalid"
-
-
-@dataclass(frozen=True)
-class IdCheck:
-    availability: IdAvailability
-    reason: str | None = None
-
-
-def validate_user_id(doc: StoreDocument, candidate: str) -> IdCheck:
-    """Classify a candidate user-id: invalid syntax, taken under
-    case-folding, or available.  Read-only; every outcome is a value."""
+def validate_user_id(doc: StoreDocument, candidate: str) -> InvalidId | IdAlreadyExists | None:
+    """The refusal creating ``candidate`` would meet (InvalidId for bad
+    syntax, IdAlreadyExists for an id taken under case-folding), or None
+    when it is free.  Read-only; the refusal is returned, not raised."""
     reason = user_id_syntax_error(candidate)
     if reason:
-        return IdCheck(IdAvailability.INVALID, reason)
+        return InvalidId(reason)
     if find_user(doc, candidate) is not None:
-        return IdCheck(IdAvailability.TAKEN)
-    return IdCheck(IdAvailability.AVAILABLE)
+        return IdAlreadyExists()
+    return None
 
 
 def require_admin(actor: Principal) -> None:
-    """Raise NotAuthorized unless ``actor`` is an authenticated, active
-    administrator."""
-    if (
-        actor.kind is not PrincipalKind.AUTHENTICATED
-        or actor.role is not Role.ADMINISTRATOR
-        or actor.status is not UserStatus.ACTIVE
-    ):
+    """Raise NotAuthorized unless ``actor`` is an active administrator.  An
+    anonymous principal is always an outsider, so it never passes."""
+    if actor.role is not Role.ADMINISTRATOR or actor.status is not UserStatus.ACTIVE:
         raise NotAuthorized()
 
 
@@ -101,11 +85,9 @@ def require_user(doc: StoreDocument, user_id: str) -> UserRecord:
 
 def check_new_id(doc: StoreDocument, user_id: str) -> None:
     """Raise InvalidId or IdAlreadyExists unless ``user_id`` is free to take."""
-    check = validate_user_id(doc, user_id)
-    if check.availability is IdAvailability.INVALID:
-        raise InvalidId(check.reason)
-    if check.availability is IdAvailability.TAKEN:
-        raise IdAlreadyExists()
+    refusal = validate_user_id(doc, user_id)
+    if refusal is not None:
+        raise refusal
 
 
 def _check_admin_cap(doc: StoreDocument) -> None:
@@ -237,16 +219,14 @@ def set_role(
     """
     require_admin(actor)
     target = require_user(doc, user_id)
-    if new_role is Role.OUTSIDER:
-        raise InvalidArgument("stored users cannot hold the outsider role")
+    status = UserStatus.ACTIVE if target.status is UserStatus.PENDING else target.status
+    updated = replace(target, role=new_role, status=status)  # the record refuses the outsider role
     if new_role is Role.ADMINISTRATOR and target.role is not Role.ADMINISTRATOR:
         _check_admin_cap(doc)
     if new_role is not Role.ADMINISTRATOR and _is_sole_active_admin(doc, target):
         raise SelfDemotionForbidden()
     if new_role is Role.GUEST and any(g.level is AccessLevel.WRITE for g in grants_for(doc, target.user_id)):
         raise GuestWriteForbidden("user holds write grants; revoke them before assigning the guest role")
-    status = UserStatus.ACTIVE if target.status is UserStatus.PENDING else target.status
-    updated = replace(target, role=new_role, status=status)
     entry = AuditEntry(
         actor=actor.user_id,
         kind="role_changed",

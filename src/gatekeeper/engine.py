@@ -18,7 +18,6 @@ from datetime import datetime
 
 from .errors import InvalidArgument, UnknownResource
 from .model import (
-    MENU_GROUP_ORDER,
     AccessLevel,
     MenuGroup,
     Role,
@@ -31,46 +30,31 @@ from .model import (
 )
 
 
-class PrincipalKind(enum.Enum):
-    ANONYMOUS = "anonymous"
-    AUTHENTICATED = "authenticated"
-
-
 @dataclass(frozen=True)
 class Principal:
-    """The requesting party: an anonymous site visitor or a resolved session.
+    """The requesting party: an anonymous site visitor (``user_id`` None) or
+    a resolved session.
 
     Anonymous principals always carry the Outsider role and Active status.
     """
 
-    kind: PrincipalKind
     user_id: str | None
     role: Role
     status: UserStatus
 
     def __post_init__(self):
-        if self.kind is PrincipalKind.ANONYMOUS:
-            if self.user_id is not None or self.role is not Role.OUTSIDER or self.status is not UserStatus.ACTIVE:
+        if self.user_id is None:
+            if self.role is not Role.OUTSIDER or self.status is not UserStatus.ACTIVE:
                 raise InvalidArgument("anonymous principals are outsiders with active status")
         elif not self.user_id:
             raise InvalidArgument("authenticated principals carry a user_id")
 
 
-ANONYMOUS = Principal(
-    kind=PrincipalKind.ANONYMOUS,
-    user_id=None,
-    role=Role.OUTSIDER,
-    status=UserStatus.ACTIVE,
-)
+ANONYMOUS = Principal(user_id=None, role=Role.OUTSIDER, status=UserStatus.ACTIVE)
 
 
 def principal_for(record: UserRecord) -> Principal:
-    return Principal(
-        kind=PrincipalKind.AUTHENTICATED,
-        user_id=record.user_id,
-        role=record.role,
-        status=record.status,
-    )
+    return Principal(user_id=record.user_id, role=record.role, status=record.status)
 
 
 class Verdict(enum.Enum):
@@ -170,7 +154,7 @@ def decide(
         return Decision(DecisionReason.BASELINE, None, tuple(trace))
     trace.append(f"baseline({principal.role.value}, {resource.data_class.value}, {level.value}): no")
 
-    if principal.kind is PrincipalKind.ANONYMOUS:
+    if principal.user_id is None:
         trace.append("anonymous principal holds no grants")
     else:
         matched = False
@@ -199,7 +183,7 @@ def visible_menu(doc: StoreDocument, principal: Principal, now: datetime) -> Men
     Groups keep their fixed order; items sort by display name
     (case-insensitive, ties broken by resource id); empty groups are omitted.
     """
-    by_group: dict[MenuGroup, list[MenuItem]] = {group: [] for group in MENU_GROUP_ORDER}
+    by_group: dict[MenuGroup, list[MenuItem]] = {group: [] for group in MenuGroup}
     for resource in doc.resources:
         decision = decide(doc, principal, resource.resource_id, resource.required_level, now)
         if decision.allowed:
@@ -207,7 +191,7 @@ def visible_menu(doc: StoreDocument, principal: Principal, now: datetime) -> Men
                 MenuItem(resource_id=resource.resource_id, display_name=resource.display_name)
             )
     groups = []
-    for group in MENU_GROUP_ORDER:
+    for group in MenuGroup:
         items = by_group[group]
         if not items:
             continue

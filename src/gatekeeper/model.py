@@ -48,6 +48,8 @@ class AccessLevel(enum.Enum):
 
 
 class MenuGroup(enum.Enum):
+    """Menu groups, declared in their fixed presentation order."""
+
     PUBLIC_PAGES = "public_pages"
     STAFF_MENU = "staff_menu"
     MANAGER_REPORTS = "manager_reports"
@@ -65,14 +67,6 @@ class SelfRegistrationMode(enum.Enum):
     AUTO_GUEST = "auto_guest"
     PENDING_APPROVAL = "pending_approval"
 
-
-#: Fixed presentation order of menu groups.
-MENU_GROUP_ORDER = (
-    MenuGroup.PUBLIC_PAGES,
-    MenuGroup.STAFF_MENU,
-    MenuGroup.MANAGER_REPORTS,
-    MenuGroup.ADMIN_MENU,
-)
 
 _EMPLOYEE_RANK = {Role.OUTSIDER: 0, Role.STAFF: 1, Role.MANAGER: 2, Role.ADMINISTRATOR: 3}
 
@@ -258,7 +252,6 @@ class StoreDocument:
     grants: tuple[SpecialGrant, ...] = ()
     resources: tuple[Resource, ...] = ()
     sessions: tuple[Session, ...] = ()
-    version: int = 1
 
     def __post_init__(self):
         # Accept lists for convenience; store tuples so snapshots stay frozen.

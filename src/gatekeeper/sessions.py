@@ -18,7 +18,7 @@ has its session (if any) dropped before InvalidToken is raised.
 from __future__ import annotations
 
 from dataclasses import replace
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 from .credentials import (
     dummy_digest,
@@ -54,8 +54,12 @@ RECOVERY_LOCK_THRESHOLD = 5
 
 
 def _expiry(doc: StoreDocument, now: datetime) -> datetime:
-    """When a session issued or used at ``now`` expires."""
-    return now + timedelta(seconds=doc.config.session_ttl_seconds)
+    """When a session issued or used at ``now`` expires, clamped to the last
+    representable instant."""
+    try:
+        return now + timedelta(seconds=doc.config.session_ttl_seconds)
+    except OverflowError:
+        return datetime.max.replace(tzinfo=timezone.utc)
 
 
 def _issue_session(doc: StoreDocument, user: UserRecord, now: datetime) -> Session:

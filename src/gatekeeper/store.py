@@ -276,7 +276,7 @@ def _from_wire(record_type, obj, where: str):
 
 
 def document_to_wire(doc: StoreDocument) -> dict:
-    wire = {"version": doc.version, "config": to_wire(doc.config)}
+    wire = {"version": STORE_VERSION, "config": to_wire(doc.config)}
     for key in _RECORD_LISTS:
         wire[key] = [to_wire(record) for record in getattr(doc, key)]
     return wire
@@ -306,7 +306,7 @@ def document_from_wire(data) -> StoreDocument:
             if not isinstance(items, list):
                 raise _fail(key, "expected a list")
             records[key] = tuple(_from_wire(record_type, obj, f"{key}[{i}]") for i, obj in enumerate(items))
-        return StoreDocument(version=version, config=config, **records)
+        return StoreDocument(config=config, **records)
     except (ValidationFailure, UnsupportedVersion):
         raise
     except Exception as exc:  # a safety net for outside input
@@ -318,14 +318,11 @@ def document_from_wire(data) -> StoreDocument:
 
 
 def validate_document(doc: StoreDocument) -> None:
-    """Check the invariants the record constructors leave to the store: the
-    version, user-id syntax and uniqueness, unique digest salts, the
+    """Check the invariants the record constructors leave to the store:
+    user-id syntax and uniqueness, unique digest salts, the
     administrator count, references between records, and session lifetimes.
     Raise ValidationFailure listing all violations found."""
     problems: list[str] = []
-
-    if doc.version != STORE_VERSION:
-        problems.append(f"version must be {STORE_VERSION}")
 
     seen_ids: dict[str, str] = {}
     seen_salts: set[bytes] = set()
@@ -436,6 +433,8 @@ def loads(payload: bytes) -> StoreDocument:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseFailure(exc.msg, line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise ParseFailure("store file nests too deeply") from None
     doc = document_from_wire(data)
     validate_document(doc)
     return doc
@@ -460,7 +459,7 @@ def _last_seq(lines: list[bytes]) -> int:
     for line in reversed(lines):
         try:
             obj = json.loads(line.decode("utf-8"))
-        except ValueError:
+        except (ValueError, RecursionError):
             continue
         seq = obj.get("seq") if isinstance(obj, dict) else None
         if isinstance(seq, int) and not isinstance(seq, bool):
@@ -487,7 +486,7 @@ class AuditLog:
         for line in self._lines():
             try:
                 out.append(_from_wire(AuditEvent, json.loads(line.decode("utf-8")), "audit event"))
-            except (ValueError, GatekeeperError):
+            except (ValueError, RecursionError, GatekeeperError):
                 continue
         return out
 

@@ -119,7 +119,7 @@ class PolicyService:
             return {}
         try:
             data = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except (ValueError, RecursionError):  # bad UTF-8, bad JSON, or nesting too deep
             raise InvalidArgument("request body is not valid JSON") from None
         if not isinstance(data, dict):
             raise InvalidArgument("request body must be a JSON object")

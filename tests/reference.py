@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from datetime import datetime
 
-from gatekeeper.engine import Principal, PrincipalKind
+from gatekeeper.engine import Principal
 from gatekeeper.model import AccessLevel, DataClass, Role, StoreDocument, UserStatus
 
 R = Role
@@ -155,7 +155,7 @@ def oracle_decide(
         return ("allow", "admin_role")
     if BASELINE_TABLE[(principal.role, resource.data_class, level)]:
         return ("allow", "baseline")
-    if principal.kind is PrincipalKind.AUTHENTICATED:
+    if principal.user_id is not None:
         for grant in doc.grants:
             if grant.user_id != principal.user_id or grant.resource_id != resource_id:
                 continue

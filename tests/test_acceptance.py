@@ -303,16 +303,16 @@ def test_criterion_6_unique_id_flowchart(tmp_path):
                 candidate = "".join(
                     rng.choice(alphabet) for _ in range(rng.randint(0, 70))
                 )
-            check = gk.validate_user_id(candidate)
+            refusal = gk.validate_user_id(candidate)
             try:
                 gk.create_user(admin, candidate, "password1", Role.STAFF)
-                outcome = "available"
+                raised = None
                 existing.append(candidate)
-            except IdAlreadyExists:
-                outcome = "taken"
-            except InvalidId:
-                outcome = "invalid"
-            assert check.availability.value == outcome, (candidate, check, outcome)
+            except (IdAlreadyExists, InvalidId) as exc:
+                raised = exc
+            assert type(refusal) is type(raised), (candidate, refusal, raised)
+            if raised is not None:
+                assert refusal.message == raised.message, (candidate, refusal, raised)
 
 
 def test_criterion_7_persistence(tmp_path, monkeypatch):

@@ -97,12 +97,17 @@ class TestSnapshotIsolation:
 
 class TestBenchmarkPatchTargets:
     def test_tracer_installs_against_this_source(self):
-        """bench/tracer.py wraps package functions by module attribute; a
-        renamed or deleted target must fail here, not only in the benchmark."""
+        """bench/tracer.py wraps package functions by module attribute, and
+        bench/world.py builds its worlds from the model constructors and the
+        tests' oracle; a renamed or deleted target must fail here, not only
+        in the benchmark."""
         root = Path(__file__).resolve().parent.parent
-        script = "import sys; sys.path.insert(0, sys.argv[1]); import tracer; tracer.Recorder().install()"
+        script = (
+            "import sys; sys.path[:0] = sys.argv[1:]; import tracer, world; "
+            "world.generate(1, 'tiny'); tracer.Recorder().install()"
+        )
         result = subprocess.run(
-            [sys.executable, "-c", script, str(root / "bench")],
+            [sys.executable, "-c", script, str(root / "bench"), str(root / "tests")],
             env={**os.environ, "PYTHONPATH": str(root / "src")},
             capture_output=True,
             text=True,

@@ -28,6 +28,7 @@ from worlds import NOW
 T0 = "2026-06-01T12:00:00Z"
 T_PLUS_30D = "2026-07-01T12:00:00Z"
 T_PLUS_31D = "2026-07-02T12:00:00Z"
+LAST_INSTANT = "9999-12-31T23:59:59Z"
 
 
 def run(args, env, stdin=None):
@@ -84,6 +85,15 @@ class TestBootstrap:
         doc = json.loads(out)
         assert doc["admin"]["user_id"] == "root"
         assert doc["password"] == "rootpass1"
+
+    @pytest.mark.parametrize("cost", ["0", "-1", "abc", "\u0663"], ids=["zero", "negative", "word", "arabic-indic-three"])
+    def test_kdf_cost_must_be_a_positive_integer(self, env, tmp_path, cost):
+        code, out, err = run(["bootstrap", "root", "--password", "rootpass1", "--now", T0],
+                             {**env, "GATEKEEPER_KDF_COST": cost})
+        assert code == 2
+        assert err == "error: $GATEKEEPER_KDF_COST must be a positive integer\n"
+        assert out == ""
+        assert not (tmp_path / "store.json").exists()
 
 
 class TestUserCommands:
@@ -181,6 +191,15 @@ class TestResourceAndGrantCommands:
         assert code == 1
         assert "no such grant" in err
 
+    def test_grant_at_the_last_instant(self, booted):
+        self._site(booted)
+        code, out, err = run(
+            ["grant", "add", "guest1", "about-us", "--level", "read", "--as", "root", "--now", LAST_INSTANT, "--json"],
+            booted,
+        )
+        assert code == 0, err
+        assert json.loads(out)["granted_at"] == LAST_INSTANT
+
     def test_grant_admin_level_is_domain_error(self, booted):
         self._site(booted)
         code, _, err = run(admin_args(["grant", "add", "guest1", "monthly-report", "--level", "admin"]), booted)
@@ -257,6 +276,11 @@ class TestAuthCommands:
         token = json.loads(out)["token"]
         gk = Gatekeeper.open(booted["GATEKEEPER_STORE"], clock=lambda: NOW)
         assert gk.resolve(token).user_id == "root"
+
+    def test_login_expiry_is_clamped_to_the_last_instant(self, booted):
+        code, out, err = run(["login", "root", "--password", "rootpass1", "--json", "--now", LAST_INSTANT], booted)
+        assert code == 0, err
+        assert json.loads(out)["expires_at"] == "9999-12-31T23:59:59.999999Z"
 
     def test_login_failure_exit_1(self, booted):
         code, _, err = run(["login", "root", "--password", "wrong-pass"], booted)
@@ -351,11 +375,13 @@ class TestUsageErrors:
         assert "bootstrap" in out
 
     def test_corrupt_store_is_a_domain_error(self, booted, tmp_path):
-        with open(booted["GATEKEEPER_STORE"], "w") as handle:
-            handle.write('{"version": 1, "users": [')
-        code, _, err = run(["user", "list", "--as", "root"], booted)
-        assert code == 1
-        assert "error:" in err
+        for corrupt in ('{"version": 1, "users": [', "[" * 100_000 + "]" * 100_000):
+            with open(booted["GATEKEEPER_STORE"], "w") as handle:
+                handle.write(corrupt)
+            code, _, err = run(["user", "list", "--as", "root"], booted)
+            assert code == 1
+            assert "error:" in err
+            assert "Traceback" not in err
 
     def test_unsupported_store_version(self, booted):
         with open(booted["GATEKEEPER_STORE"]) as handle:

@@ -11,7 +11,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_stat
 from hypothesis import strategies as st
 
 from gatekeeper.app import Gatekeeper
-from gatekeeper.directory import IdAvailability
 from gatekeeper.engine import ANONYMOUS, Verdict
 from gatekeeper.errors import (
     AdminCapExceeded,
@@ -56,16 +55,16 @@ def fresh(config=None):
 
 class TestValidateUserId:
     def test_available_on_empty_store(self, gk):
-        assert gk.validate_user_id("umishra").availability is IdAvailability.AVAILABLE
+        assert gk.validate_user_id("umishra") is None
 
     def test_taken_is_case_insensitive(self, gk, admin):
         gk.create_user(admin, "umishra", "password1", Role.STAFF)
-        assert gk.validate_user_id("UMishra").availability is IdAvailability.TAKEN
+        assert isinstance(gk.validate_user_id("UMishra"), IdAlreadyExists)
 
     def test_too_short_is_invalid(self, gk):
-        check = gk.validate_user_id("ab")
-        assert check.availability is IdAvailability.INVALID
-        assert "short" in check.reason
+        refusal = gk.validate_user_id("ab")
+        assert isinstance(refusal, InvalidId)
+        assert "short" in refusal.message
 
 
 class TestCreateUser:
@@ -120,19 +119,15 @@ class TestCreateUser:
         gk.create_user(admin, "taken", "password1", Role.STAFF)
         candidates = ["taken", "TAKEN", "ok-name", "ab", "bad name", "x" * 65]
         for candidate in candidates:
-            check = gk.validate_user_id(candidate)
+            refusal = gk.validate_user_id(candidate)
             try:
                 gk.create_user(admin, candidate, "password1", Role.STAFF)
-                outcome = "created"
-            except IdAlreadyExists:
-                outcome = "taken"
-            except InvalidId:
-                outcome = "invalid"
-            assert outcome == {
-                IdAvailability.AVAILABLE: "created",
-                IdAvailability.TAKEN: "taken",
-                IdAvailability.INVALID: "invalid",
-            }[check.availability]
+                raised = None
+            except (IdAlreadyExists, InvalidId) as exc:
+                raised = exc
+            assert type(refusal) is type(raised), candidate
+            if raised is not None:
+                assert refusal.message == raised.message, candidate
 
 
 class TestSelfRegister:

@@ -13,7 +13,6 @@ from gatekeeper.engine import (
     ANONYMOUS,
     DecisionReason,
     Principal,
-    PrincipalKind,
     Verdict,
     decide,
     principal_for,
@@ -33,7 +32,7 @@ from worlds import FUTURE, NOW, PAST, make_doc, make_grant, make_resource, make_
 
 
 def auth(user_id, role, status=UserStatus.ACTIVE):
-    return Principal(kind=PrincipalKind.AUTHENTICATED, user_id=user_id, role=role, status=status)
+    return Principal(user_id=user_id, role=role, status=status)
 
 
 class TestDecide:
@@ -170,16 +169,16 @@ class TestDecide:
 class TestPrincipal:
     def test_anonymous_must_be_outsider(self):
         with pytest.raises(InvalidArgument):
-            Principal(kind=PrincipalKind.ANONYMOUS, user_id=None, role=Role.STAFF, status=UserStatus.ACTIVE)
+            Principal(user_id=None, role=Role.STAFF, status=UserStatus.ACTIVE)
 
     def test_authenticated_needs_user_id(self):
         with pytest.raises(InvalidArgument):
-            Principal(kind=PrincipalKind.AUTHENTICATED, user_id=None, role=Role.STAFF, status=UserStatus.ACTIVE)
+            Principal(user_id="", role=Role.STAFF, status=UserStatus.ACTIVE)
 
     def test_principal_for_record(self):
         record = make_user("boss", Role.MANAGER)
         principal = principal_for(record)
-        assert principal.kind is PrincipalKind.AUTHENTICATED
+        assert principal.user_id == "boss"
         assert principal.role is Role.MANAGER
 
 

@@ -669,6 +669,13 @@ class TestAuditLog:
         assert FileAuditLog(path).append(AuditEntry("root", "b", {}), NOW).seq == 8
         assert [e.seq for e in FileAuditLog(path).events()] == [1, 2, 3, 4, 5, 6, 8]
 
+    def test_deeply_nested_line_is_skipped(self, tmp_path):
+        path = tmp_path / "x.audit.jsonl"
+        path.write_bytes((DATA / "audit_v1.jsonl").read_bytes() + b"[" * 100_000 + b"]" * 100_000 + b"\n")
+        log = FileAuditLog(path)
+        assert [e.seq for e in log.events()] == [1, 2, 3, 4, 5, 6]
+        assert log.append(AuditEntry("root", "b", {}), NOW).seq == 7
+
     def test_opening_a_file_log_decodes_no_event(self, tmp_path, monkeypatch):
         import gatekeeper.store as store
 

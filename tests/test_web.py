@@ -61,9 +61,23 @@ class TestLoginEndpoint:
         response = service.handle(HttpRequest.make("POST", "/api/login", {}, b"{nope"))
         assert response.status == 400
 
+    @pytest.mark.parametrize(
+        "body", [b"[" * 100_000 + b"]" * 100_000, b"{", b"\xff"], ids=["deeply-nested", "truncated", "not-utf8"]
+    )
+    def test_malformed_body_is_400(self, service, body):
+        response = service.handle(HttpRequest.make("POST", "/api/login", {}, body))
+        assert response.status == 400
+        assert response.json() == {"error": "invalid_argument", "message": "request body is not valid JSON"}
+
     def test_missing_fields_400(self, service):
         response = call(service, "POST", "/api/login", body={"user_id": "boss"})
         assert response.status == 400
+
+    def test_expiry_past_the_last_instant_is_clamped(self):
+        gk, _ = fresh(PolicyConfig(session_ttl_seconds=10**14))
+        response = call(PolicyService(gk), "POST", "/api/login", body={"user_id": "root", "password": "rootpass1"})
+        assert response.status == 200, response.body
+        assert response.json()["expires_at"] == "9999-12-31T23:59:59.999999Z"
 
 
 class TestMenuEndpoint:
