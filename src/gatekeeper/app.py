@@ -1,9 +1,10 @@
 """The embeddable engine façade.
 
 A ``Gatekeeper`` owns one published store snapshot and funnels every
-mutation through a single writer lock: audit line first (write-ahead), then
-the snapshot file, then the in-memory publish.  Readers always see the last
-fully published snapshot and never block writers.
+mutation through a single writer lock: audit lines first (write-ahead), then
+the snapshot file, then the in-memory publish.  Decisions and menus read the
+last fully published snapshot without the lock, but resolving a bearer token
+slides its session's expiry, which is a commit under the writer lock.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ class Gatekeeper:
                 created_by="system", status=UserStatus.ACTIVE, now=now, digest_cost=digest_cost,
             )
             detail = {"user_id": admin_id, "role": "administrator"}
-            return replace(doc, users=(admin,)), admin, AuditEntry(actor="system", kind="user_created", detail=detail)
+            entry = AuditEntry(actor="system", kind="user_created", detail=detail)
+            return replace(doc, users=(admin,)), admin, (entry,)
 
         # The empty starting snapshot is never saved: it holds no administrator.
         empty = StoreDocument(config=config or PolicyConfig())
@@ -149,17 +151,18 @@ class Gatekeeper:
         """Run one serialized mutation; the only place that appends to the
         audit log or commits a snapshot.
 
-        ``mutate`` returns (new snapshot or None, outcome, audit entry or
-        None).  The audit line is written before the snapshot.  A failure
-        that must also change state (a hint mismatch advances its counter, a
-        dead session is dropped) returns its error as the outcome, which is
-        raised after the new snapshot is committed; an unchanged snapshot is
-        not saved.
+        ``mutate`` returns (new snapshot or None, outcome, tuple of audit
+        entries, empty when there is nothing to audit).  The entries are
+        appended in order, all before the snapshot is saved.  A failure that
+        must also change state (a hint mismatch advances its counter, a dead
+        session is dropped) returns its error as the outcome, which is raised
+        after the new snapshot is committed; an unchanged snapshot is not
+        saved.
         """
         now = self.clock()
         with self._write_lock:
-            new_doc, outcome, entry = mutate(self._doc, now)
-            if entry is not None:
+            new_doc, outcome, entries = mutate(self._doc, now)
+            for entry in entries:
                 self.audit.append(entry, now)
             if new_doc is not None and new_doc is not self._doc:
                 new_doc = sessions.prune_expired_sessions(new_doc, now)
@@ -204,6 +207,12 @@ class Gatekeeper:
                 now=now, digest_cost=self.digest_cost,
             )
         )
+
+    def update_user(
+        self, actor: Principal, user_id: str, role: Role | None = None, status: UserStatus | None = None
+    ) -> UserRecord:
+        """Change a user's role, status or both in one commit."""
+        return self._apply(lambda doc, now: directory.update_user(doc, actor, user_id, role, status))
 
     def set_role(self, actor: Principal, user_id: str, new_role: Role) -> UserRecord:
         return self._apply(lambda doc, now: directory.set_role(doc, actor, user_id, new_role))
@@ -297,7 +306,7 @@ class Gatekeeper:
                     "reason": decision.reason.value,
                 },
             )
-            self._apply(lambda doc, now: (None, None, entry))
+            self._apply(lambda doc, now: (None, None, (entry,)))
         return decision
 
     def visible_menu(self, principal: Principal) -> MenuTree:

@@ -1,7 +1,7 @@
 """User lifecycle and grant administration.
 
 Every operation here takes the current store snapshot and returns a
-replacement snapshot plus the audit entry describing what changed; nothing
+replacement snapshot plus the audit entries describing what changed; nothing
 is mutated in place.  All administrative operations are gated on an acting
 principal who must be an active administrator.
 """
@@ -52,8 +52,8 @@ from .store import AuditEntry, format_instant
 
 SELF_REGISTRATION_ACTOR = "self-registration"
 
-# (new snapshot or None, outcome, audit entry or None); see Gatekeeper._apply.
-MutationResult = tuple[StoreDocument | None, object, AuditEntry | None]
+# (new snapshot or None, outcome, audit entries in order); see Gatekeeper._apply.
+MutationResult = tuple[StoreDocument | None, object, tuple[AuditEntry, ...]]
 
 
 def validate_user_id(doc: StoreDocument, candidate: str) -> InvalidId | IdAlreadyExists | None:
@@ -158,7 +158,7 @@ def create_user(
         kind="user_created",
         detail={"user_id": user_id, "role": role.value},
     )
-    return new_doc, record, entry
+    return new_doc, record, (entry,)
 
 
 def self_register(
@@ -193,74 +193,66 @@ def self_register(
         kind="user_registered",
         detail={"user_id": user_id, "status": status.value},
     )
-    return new_doc, record, entry
+    return new_doc, record, (entry,)
 
 
-def _is_sole_active_admin(doc: StoreDocument, user: UserRecord) -> bool:
-    return (
-        user.role is Role.ADMINISTRATOR
-        and user.status is UserStatus.ACTIVE
-        and active_admin_count(doc) == 1
-    )
-
-
-def set_role(
+def update_user(
     doc: StoreDocument,
     actor: Principal,
     user_id: str,
-    new_role: Role,
+    role: Role | None = None,
+    status: UserStatus | None = None,
 ) -> MutationResult:
-    """Reassign a user's role.
+    """Reassign a user's role, enable or disable the account, or both, as
+    one change with one audit entry per field (role first).
 
-    Promoting past the administrator cap is refused, as is stripping the
-    administrator role from the last active administrator (that would orphan
-    the store).  Assigning a role to a pending self-registration activates
-    the account.
+    Promoting past the administrator cap is refused, as are demoting and
+    disabling the last active administrator (either would orphan the
+    store).  Assigning a role to a pending self-registration activates the
+    account; pending itself arises only from self-registration and cannot be
+    assigned.  Enabling an account also clears any recovery lockout.
     """
+    if role is None and status is None:
+        raise InvalidArgument("provide 'role' and/or 'status'")
     require_admin(actor)
-    target = require_user(doc, user_id)
-    status = UserStatus.ACTIVE if target.status is UserStatus.PENDING else target.status
-    updated = replace(target, role=new_role, status=status)  # the record refuses the outsider role
-    if new_role is Role.ADMINISTRATOR and target.role is not Role.ADMINISTRATOR:
-        _check_admin_cap(doc)
-    if new_role is not Role.ADMINISTRATOR and _is_sole_active_admin(doc, target):
-        raise SelfDemotionForbidden()
-    if new_role is Role.GUEST and any(g.level is AccessLevel.WRITE for g in grants_for(doc, target.user_id)):
-        raise GuestWriteForbidden("user holds write grants; revoke them before assigning the guest role")
-    entry = AuditEntry(
-        actor=actor.user_id,
-        kind="role_changed",
-        detail={"user_id": target.user_id, "from": target.role.value, "to": new_role.value},
-    )
-    return replace_user(doc, updated), updated, entry
-
-
-def set_status(
-    doc: StoreDocument,
-    actor: Principal,
-    user_id: str,
-    new_status: UserStatus,
-) -> MutationResult:
-    """Enable or disable an account.
-
-    Pending is a self-registration state and cannot be assigned here.
-    Disabling the last active administrator is refused.  Enabling an account
-    also clears any recovery lockout.
-    """
-    require_admin(actor)
-    if new_status is UserStatus.PENDING:
+    if status is UserStatus.PENDING:
         raise InvalidArgument("pending arises only from self-registration")
     target = require_user(doc, user_id)
-    if new_status is UserStatus.DISABLED and _is_sole_active_admin(doc, target):
-        raise SelfDisableForbidden()
-    failures = 0 if new_status is UserStatus.ACTIVE else target.recovery_failures
-    updated = replace(target, status=new_status, recovery_failures=failures)
-    entry = AuditEntry(
-        actor=actor.user_id,
-        kind="status_changed",
-        detail={"user_id": target.user_id, "from": target.status.value, "to": new_status.value},
+    sole_admin = (
+        target.role is Role.ADMINISTRATOR
+        and target.status is UserStatus.ACTIVE
+        and active_admin_count(doc) == 1
     )
-    return replace_user(doc, updated), updated, entry
+    updated, entries = target, ()
+    if role is not None:
+        activated = UserStatus.ACTIVE if target.status is UserStatus.PENDING else target.status
+        updated = replace(target, role=role, status=activated)  # the record refuses the outsider role
+        if role is Role.ADMINISTRATOR and target.role is not Role.ADMINISTRATOR:
+            _check_admin_cap(doc)
+        if role is not Role.ADMINISTRATOR and sole_admin:
+            raise SelfDemotionForbidden()
+        if role is Role.GUEST and any(g.level is AccessLevel.WRITE for g in grants_for(doc, target.user_id)):
+            raise GuestWriteForbidden("user holds write grants; revoke them before assigning the guest role")
+        detail = {"user_id": target.user_id, "from": target.role.value, "to": role.value}
+        entries += (AuditEntry(actor=actor.user_id, kind="role_changed", detail=detail),)
+    if status is not None:
+        if status is UserStatus.DISABLED and sole_admin:
+            raise SelfDisableForbidden()
+        detail = {"user_id": target.user_id, "from": updated.status.value, "to": status.value}
+        entries += (AuditEntry(actor=actor.user_id, kind="status_changed", detail=detail),)
+        failures = 0 if status is UserStatus.ACTIVE else updated.recovery_failures
+        updated = replace(updated, status=status, recovery_failures=failures)
+    return replace_user(doc, updated), updated, entries
+
+
+# The single-field forms serve the CLI, and bench/tracer.py patches these
+# names (and the façade methods of the same name) where they are looked up.
+def set_role(doc: StoreDocument, actor: Principal, user_id: str, new_role: Role) -> MutationResult:
+    return update_user(doc, actor, user_id, role=new_role)
+
+
+def set_status(doc: StoreDocument, actor: Principal, user_id: str, new_status: UserStatus) -> MutationResult:
+    return update_user(doc, actor, user_id, status=new_status)
 
 
 _GRANT_ID_RE = re.compile(r"^g(\d+)$")
@@ -326,7 +318,7 @@ def grant_special(
             "expiry": format_instant(expiry) if expiry else "never",
         },
     )
-    return replace(doc, grants=grants), updated, entry
+    return replace(doc, grants=grants), updated, (entry,)
 
 
 def revoke_grant(
@@ -344,7 +336,7 @@ def revoke_grant(
         kind="grant_revoked",
         detail={"grant_id": grant_id, "user_id": grant.user_id, "resource_id": grant.resource_id},
     )
-    return replace(doc, grants=grants), None, entry
+    return replace(doc, grants=grants), None, (entry,)
 
 
 def list_users(
@@ -388,4 +380,4 @@ def add_resource(doc: StoreDocument, actor: Principal, resource: Resource) -> Mu
             "required_level": resource.required_level.value,
         },
     )
-    return replace(doc, resources=doc.resources + (resource,)), resource, entry
+    return replace(doc, resources=doc.resources + (resource,)), resource, (entry,)

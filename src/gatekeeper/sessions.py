@@ -83,18 +83,18 @@ def login(
     user = find_user(doc, user_id)
     if user is None:
         verify_secret(password, dummy_digest(digest_cost))
-        return None, AuthFailed(), _login_failed(user_id, "unknown_user")
+        return None, AuthFailed(), (_login_failed(user_id, "unknown_user"),)
     if not verify_secret(password, user.password_digest):
-        return None, AuthFailed(), _login_failed(user_id, "bad_password")
+        return None, AuthFailed(), (_login_failed(user_id, "bad_password"),)
     if user.status is UserStatus.DISABLED:
-        return None, AuthFailed(), _login_failed(user_id, "disabled")
+        return None, AuthFailed(), (_login_failed(user_id, "disabled"),)
     if user.status is UserStatus.PENDING:
-        return None, AuthFailed(), _login_failed(user_id, "pending")
+        return None, AuthFailed(), (_login_failed(user_id, "pending"),)
 
     session = _issue_session(doc, user, now)
     new_doc = replace(doc, sessions=doc.sessions + (session,))
     entry = AuditEntry(actor=user.user_id, kind="login_succeeded", detail={"user_id": user.user_id})
-    return new_doc, session, entry
+    return new_doc, session, (entry,)
 
 
 def _login_failed(user_id: str, cause: str) -> AuditEntry:
@@ -121,23 +121,25 @@ def _locate(doc: StoreDocument, token: str, now: datetime) -> tuple[Session, Use
 
 def resolve(doc: StoreDocument, token: str, *, now: datetime) -> MutationResult:
     """Resolve a token to a principal carrying the user's current role and
-    status; a successful resolve slides the expiry forward to now + TTL."""
+    status.  A successful resolve slides the expiry to now + TTL, but never
+    moves it backwards, so a clock stepped back cannot leave a session
+    expiring before it was issued."""
     located = _locate(doc, token, now)
     if located is None:
-        return _drop_session(doc, token), InvalidToken(), None
+        return _drop_session(doc, token), InvalidToken(), ()
     session, user = located
-    extended = replace(session, expires_at=_expiry(doc, now))
+    extended = replace(session, expires_at=max(session.expires_at, _expiry(doc, now)))
     sessions = tuple(extended if s.token == token else s for s in doc.sessions)
-    return replace(doc, sessions=sessions), principal_for(user), None
+    return replace(doc, sessions=sessions), principal_for(user), ()
 
 
 def logout(doc: StoreDocument, token: str) -> MutationResult:
     """Invalidate a token.  Idempotent: unknown tokens are a no-op."""
     session = find_session(doc, token)
     if session is None:
-        return None, None, None
+        return None, None, ()
     entry = AuditEntry(actor=session.user_id, kind="logged_out", detail={"user_id": session.user_id})
-    return _drop_session(doc, token), None, entry
+    return _drop_session(doc, token), None, (entry,)
 
 
 def change_password(
@@ -156,7 +158,7 @@ def change_password(
     """
     located = _locate(doc, token, now)
     if located is None:
-        return _drop_session(doc, token), InvalidToken(), None
+        return _drop_session(doc, token), InvalidToken(), ()
     _, user = located
     if not doc.config.allow_self_password_change:
         raise PolicyForbidden()
@@ -166,7 +168,7 @@ def change_password(
     updated = replace(user, password_digest=make_digest(new_password, cost=digest_cost))
     sessions = tuple(s for s in doc.sessions if s.user_id != user.user_id or s.token == token)
     entry = AuditEntry(actor=user.user_id, kind="password_changed", detail={"user_id": user.user_id})
-    return replace(replace_user(doc, updated), sessions=sessions), None, entry
+    return replace(replace_user(doc, updated), sessions=sessions), None, (entry,)
 
 
 def _recovery_failed(user_id: str, cause: str) -> AuditEntry:
@@ -193,9 +195,9 @@ def recover_begin(doc: StoreDocument, user_id: str) -> MutationResult:
     user = find_user(doc, user_id)
     cause = _recoverable(user)
     if cause is not None:
-        return None, RecoveryUnavailable(), _recovery_failed(user_id, cause)
+        return None, RecoveryUnavailable(), (_recovery_failed(user_id, cause),)
     entry = AuditEntry(actor="anonymous", kind="recovery_started", detail={"user_id": user.user_id})
-    return None, user.hint_question, entry
+    return None, user.hint_question, (entry,)
 
 
 def recover_complete(
@@ -215,18 +217,18 @@ def recover_complete(
     user = find_user(doc, user_id)
     cause = _recoverable(user)
     if cause is not None:
-        return None, RecoveryUnavailable(), _recovery_failed(user_id, cause)
+        return None, RecoveryUnavailable(), (_recovery_failed(user_id, cause),)
     if user.recovery_failures >= RECOVERY_LOCK_THRESHOLD:
-        return None, RecoveryLocked(), _recovery_failed(user_id, "locked")
+        return None, RecoveryLocked(), (_recovery_failed(user_id, "locked"),)
     if not verify_hint_answer(hint_answer, user.hint_answer_digest):
         bumped = replace(user, recovery_failures=user.recovery_failures + 1)
-        return replace_user(doc, bumped), HintMismatch(), _recovery_failed(user_id, "hint_mismatch")
+        return replace_user(doc, bumped), HintMismatch(), (_recovery_failed(user_id, "hint_mismatch"),)
 
     new_password = generate_password()
     updated = replace(user, password_digest=make_digest(new_password, cost=digest_cost), recovery_failures=0)
     sessions = tuple(s for s in doc.sessions if s.user_id != user.user_id)
     entry = AuditEntry(actor="anonymous", kind="recovery_completed", detail={"user_id": user.user_id})
-    return replace(replace_user(doc, updated), sessions=sessions), new_password, entry
+    return replace(replace_user(doc, updated), sessions=sessions), new_password, (entry,)
 
 
 def prune_expired_sessions(doc: StoreDocument, now: datetime) -> StoreDocument:

@@ -6,8 +6,9 @@ directory on every request, so role changes and disables bite immediately.
 Login and recovery failures are status- and byte-identical across their
 internal causes.
 
-Requests may be served concurrently: reads hit the published snapshot and
-mutations funnel through the engine's single-writer lock.
+Requests may be served concurrently.  Decisions and menus read the published
+snapshot, and mutations funnel through the engine's single-writer lock; so
+does every bearer-token resolve, because it slides the session's expiry.
 """
 
 from __future__ import annotations
@@ -276,16 +277,9 @@ class PolicyService:
     def _admin_patch_user(self, request: HttpRequest, user_id: str) -> HttpResponse:
         actor = self._authenticated(request)
         body = self._body(request)
-        if not ("role" in body or "status" in body):
-            raise InvalidArgument("provide 'role' and/or 'status'")
-        # Parse both fields before the first commit: a malformed second one must not follow it.
         role = self._parse_enum(Role, self._want(body, "role"), "role") if "role" in body else None
         status = self._parse_enum(UserStatus, self._want(body, "status"), "status") if "status" in body else None
-        if role is not None:
-            record = self.gatekeeper.set_role(actor, user_id, role)
-        if status is not None:
-            record = self.gatekeeper.set_status(actor, user_id, status)
-        return _respond(200, public_user(record))
+        return _respond(200, public_user(self.gatekeeper.update_user(actor, user_id, role, status)))
 
     def _admin_create_grant(self, request: HttpRequest) -> HttpResponse:
         actor = self._authenticated(request)

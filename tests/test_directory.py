@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import base64
 import json
+import random
+from dataclasses import replace
+from datetime import timedelta
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
 from hypothesis import strategies as st
 
+from gatekeeper import directory
 from gatekeeper.app import Gatekeeper
-from gatekeeper.engine import ANONYMOUS, Verdict
+from gatekeeper.engine import ANONYMOUS, Verdict, principal_for
 from gatekeeper.errors import (
     AdminCapExceeded,
     AdminLevelNotGrantable,
@@ -39,10 +43,12 @@ from gatekeeper.model import (
     SelfRegistrationMode,
     UserStatus,
     active_admin_count,
+    replace_user,
 )
 from gatekeeper.wire import public_user
 
-from worlds import FAST_COST, FUTURE, FakeClock, make_resource
+from reference import oracle_decide, oracle_visible_ids
+from worlds import FAST_COST, FUTURE, FakeClock, make_resource, random_world
 
 
 def fresh(config=None):
@@ -241,6 +247,56 @@ class TestSetStatus:
             populated.set_status(boss, "staffer", UserStatus.DISABLED)
 
 
+class TestUpdateUser:
+    def test_role_and_status_in_one_commit(self, populated, admin):
+        before = len(populated.audit_events())
+        record = populated.update_user(admin, "staffer", Role.MANAGER, UserStatus.DISABLED)
+        assert (record.role, record.status) == (Role.MANAGER, UserStatus.DISABLED)
+        events = populated.audit_events()[before:]
+        assert [(e.kind, e.detail["from"], e.detail["to"]) for e in events] == [
+            ("role_changed", "staff", "manager"),
+            ("status_changed", "active", "disabled"),
+        ]
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_set_role_then_set_status(self, seed):
+        """One update gives the snapshot, record and audit entries of the two
+        single-field changes whenever both succeed, and refuses whenever
+        either would.  For an administrator, a "pending" status is refused
+        ahead of every other check."""
+        rng = random.Random(seed)
+        doc = random_world(rng)
+        target = rng.choice(doc.users + (None,))
+        if target is not None:
+            doc = replace_user(doc, replace(target, recovery_failures=rng.randint(0, 5)))
+        user_id = target.user_id if target is not None else "ghost"
+        actor = principal_for(doc.users[0] if rng.random() < 0.8 else rng.choice(doc.users))
+        role, status = rng.choice(list(Role)), rng.choice(list(UserStatus))
+
+        try:
+            after_role, _, role_entries = directory.set_role(doc, actor, user_id, role)
+            new_doc, record, status_entries = directory.set_status(after_role, actor, user_id, status)
+            expected = (new_doc, record, role_entries + status_entries)
+        except GatekeeperError as exc:
+            expected = exc
+        try:
+            got = directory.update_user(doc, actor, user_id, role, status)
+        except GatekeeperError as exc:
+            got = exc
+
+        if not isinstance(expected, GatekeeperError):
+            assert got == expected
+        elif status is UserStatus.PENDING and not isinstance(expected, NotAuthorized):
+            assert (type(got), got.message) == (InvalidArgument, "pending arises only from self-registration")
+        else:
+            assert (type(got), got.message) == (type(expected), expected.message)
+
+    def test_neither_field_is_refused_before_the_admin_check(self, populated):
+        with pytest.raises(InvalidArgument, match="provide 'role' and/or 'status'"):
+            populated.update_user(ANONYMOUS, "staffer")
+
+
 class TestGrants:
     def test_grant_then_decide_allows_until_revoked(self, populated, admin):
         grant = populated.grant_special(admin, "visitor", "monthly-report", AccessLevel.READ, FUTURE)
@@ -348,55 +404,85 @@ class TestAuditTrail:
 
 
 class DirectoryMachine(RuleBasedStateMachine):
-    """Random admin-op sequences must keep every store invariant intact."""
+    """Random admin-op sequences, self-registrations and clock moves must
+    keep every store invariant intact, and the façade's decisions and menus
+    must agree with the oracle after every step."""
 
     def __init__(self):
         super().__init__()
-        self.gk, self.admin = fresh(PolicyConfig(multi_admin=True))
-        self.counter = 0
-        for i in range(3):
+        config = PolicyConfig(multi_admin=True, self_registration=SelfRegistrationMode.PENDING_APPROVAL)
+        self.gk, admin = fresh(config)
+        for i, data_class in enumerate(DataClass):
             self.gk.add_resource(
-                self.admin,
-                make_resource(f"res{i}", DataClass.MANAGERIAL, MenuGroup.MANAGER_REPORTS),
+                admin,
+                make_resource(f"res{i}", data_class, MenuGroup.MANAGER_REPORTS),
             )
 
-    user_ids = st.sampled_from(["ann", "bob", "cat", "dan", "eve", "ANN", "Bob"])
+    user_ids = st.sampled_from(["root", "ann", "bob", "cat", "dan", "eve", "ANN", "Bob"])
     roles = st.sampled_from([Role.GUEST, Role.STAFF, Role.MANAGER, Role.ADMINISTRATOR])
     levels = st.sampled_from([AccessLevel.READ, AccessLevel.WRITE])
-    resources = st.sampled_from(["res0", "res1", "res2"])
+    resources = st.sampled_from([f"res{i}" for i in range(len(DataClass))])
+
+    @property
+    def actor(self):
+        """An active administrator of the current snapshot (the invariant
+        below keeps one), since root itself may be demoted or disabled."""
+        users = self.gk.snapshot.users
+        return principal_for(next(u for u in users if u.role is Role.ADMINISTRATOR and u.status is UserStatus.ACTIVE))
 
     @rule(user_id=user_ids, role=roles)
     def create(self, user_id, role):
         try:
-            self.gk.create_user(self.admin, user_id, "password1", role)
+            self.gk.create_user(self.actor, user_id, "password1", role)
         except GatekeeperError:
             pass
 
     @rule(user_id=user_ids, role=roles)
     def reassign(self, user_id, role):
         try:
-            self.gk.set_role(self.admin, user_id, role)
+            self.gk.set_role(self.actor, user_id, role)
         except GatekeeperError:
             pass
 
     @rule(user_id=user_ids, status=st.sampled_from([UserStatus.ACTIVE, UserStatus.DISABLED]))
     def flip_status(self, user_id, status):
         try:
-            self.gk.set_status(self.admin, user_id, status)
+            self.gk.set_status(self.actor, user_id, status)
         except GatekeeperError:
             pass
 
-    @rule(user_id=user_ids, resource=resources, level=levels)
-    def grant(self, user_id, resource, level):
+    @rule(user_id=user_ids)
+    def register(self, user_id):
         try:
-            self.gk.grant_special(self.admin, user_id, resource, level)
+            self.gk.self_register(user_id, "password1")
         except GatekeeperError:
             pass
+
+    @rule(user_id=user_ids, role=st.sampled_from([None, *Role]), status=st.sampled_from([None, *UserStatus]))
+    def update(self, user_id, role, status):
+        before, logged = self.gk.snapshot, len(self.gk.audit_events())
+        try:
+            self.gk.update_user(self.actor, user_id, role, status)
+        except GatekeeperError:
+            assert self.gk.snapshot is before
+            assert len(self.gk.audit_events()) == logged
+
+    @rule(user_id=user_ids, resource=resources, level=levels, expires_in=st.sampled_from([None, -60, 0, 60]))
+    def grant(self, user_id, resource, level, expires_in):
+        expiry = None if expires_in is None else self.gk.clock() + timedelta(seconds=expires_in)
+        try:
+            self.gk.grant_special(self.actor, user_id, resource, level, expiry)
+        except GatekeeperError:
+            pass
+
+    @rule(seconds=st.sampled_from([30, 60]))
+    def advance(self, seconds):
+        self.gk.clock.advance(seconds=seconds)
 
     @rule(n=st.integers(min_value=1, max_value=30))
     def revoke(self, n):
         try:
-            self.gk.revoke_grant(self.admin, f"g{n}")
+            self.gk.revoke_grant(self.actor, f"g{n}")
         except GatekeeperError:
             pass
 
@@ -416,6 +502,25 @@ class DirectoryMachine(RuleBasedStateMachine):
         for grant in doc.grants:
             assert grant.level is not AccessLevel.ADMIN
             assert not (roles[grant.user_id] is Role.GUEST and grant.level is AccessLevel.WRITE)
+
+    @invariant()
+    def only_unassigned_self_registrations_are_pending(self):
+        for user in self.gk.snapshot.users:
+            if user.status is UserStatus.PENDING:
+                assert (user.role, user.created_by) == (Role.GUEST, "self-registration")
+
+    @invariant()
+    def decisions_and_menus_match_the_oracle(self):
+        doc, now = self.gk.snapshot, self.gk.clock()
+        for principal in [ANONYMOUS] + [self.gk.principal_for(u.user_id) for u in doc.users]:
+            for resource in doc.resources:
+                for level in AccessLevel:
+                    decision = self.gk.decide(principal, resource.resource_id, level)
+                    expected = oracle_decide(doc, principal, resource.resource_id, level, now)
+                    assert (decision.verdict.value, decision.reason.value) == expected
+            tree = self.gk.visible_menu(principal)
+            shown = {item.resource_id for _, items in tree.groups for item in items}
+            assert shown == oracle_visible_ids(doc, principal, now)
 
     @invariant()
     def audit_sequence_gap_free(self):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from datetime import datetime, timezone
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule, run_state_machine_as_test
 
+from gatekeeper.app import Gatekeeper
 from gatekeeper.credentials import new_session_token
 from gatekeeper.errors import (
     AuthFailed,
@@ -21,8 +24,10 @@ from gatekeeper.errors import (
 )
 from gatekeeper.model import MenuGroup, PolicyConfig, Role, UserStatus
 from gatekeeper.sessions import RECOVERY_LOCK_THRESHOLD
+from gatekeeper.store import load
 
 from test_directory import fresh
+from worlds import FAST_COST, FakeClock
 
 
 class TestLogin:
@@ -130,6 +135,18 @@ class TestResolve:
         clock.advance(seconds=ttl - 10)
         principal = populated.resolve(session.token)  # only valid if the first resolve slid the window
         assert principal.user_id == "boss"
+
+    @pytest.mark.parametrize("on_file", [False, True], ids=["memory", "file"])
+    def test_a_clock_stepped_back_never_moves_the_expiry_backwards(self, tmp_path, on_file):
+        clock = FakeClock(datetime(2030, 1, 1, tzinfo=timezone.utc))
+        path = tmp_path / "store.json" if on_file else None
+        gk = Gatekeeper.bootstrap("root", "rootpass1", store_path=path, clock=clock, digest_cost=FAST_COST).gatekeeper
+        session = gk.login("root", "rootpass1")
+        clock.advance(seconds=-(gk.config.session_ttl_seconds + 1))
+        assert gk.resolve(session.token).user_id == "root"
+        assert gk.snapshot.sessions == (session,)
+        if on_file:
+            assert load(path).sessions == (session,)
 
     def test_role_change_reflected_immediately(self, populated, admin):
         session = populated.login("staffer", "password1")

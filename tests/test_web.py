@@ -17,6 +17,7 @@ from gatekeeper.web import MAX_BODY_BYTES, HttpRequest, PolicyService, make_serv
 from gatekeeper.wire import decision_wire
 
 from test_directory import fresh
+from worlds import FAST_COST, FakeClock
 
 
 @pytest.fixture
@@ -330,12 +331,32 @@ class TestAdminEndpoints:
     def test_patch_with_a_bad_second_field_commits_nothing(self, service, populated):
         token = login(service, "root", "rootpass1")
         events_before = populated.audit_events()
+        for body in ({"role": "manager", "status": "bogus"}, {"role": "manager", "status": "pending"}):
+            response = call(service, "PATCH", "/api/admin/users/staffer", token=token, body=body)
+            assert response.status == 400
+            assert response.json()["error"] == "invalid_argument"
+            assert populated.principal_for("staffer").role is Role.STAFF
+            assert populated.audit_events() == events_before
+
+    def test_a_two_field_patch_is_one_commit(self, tmp_path, monkeypatch):
+        import gatekeeper.app as app
+
+        gk = app.Gatekeeper.bootstrap(
+            "root", "rootpass1", store_path=tmp_path / "store.json", clock=FakeClock(), digest_cost=FAST_COST
+        ).gatekeeper
+        gk.create_user(gk.principal_for("root"), "staffer", "password1", Role.STAFF)
+        service = PolicyService(gk)
+        token = login(service, "root", "rootpass1")
+        saves = []
+        real_save = app.save
+        monkeypatch.setattr(app, "save", lambda doc, path: (saves.append(path), real_save(doc, path)))
         response = call(service, "PATCH", "/api/admin/users/staffer", token=token,
-                        body={"role": "manager", "status": "bogus"})
-        assert response.status == 400
-        assert response.json()["error"] == "invalid_argument"
-        assert populated.principal_for("staffer").role is Role.STAFF
-        assert populated.audit_events() == events_before
+                        body={"role": "manager", "status": "disabled"})
+        assert response.status == 200
+        assert len(saves) == 2  # the bearer resolve, then the update
+        role_changed, status_changed = gk.audit_events()[-2:]
+        assert (role_changed.kind, status_changed.kind) == ("role_changed", "status_changed")
+        assert status_changed.seq == role_changed.seq + 1
 
     def test_audit_time_and_limit_params(self, service):
         token = login(service, "root", "rootpass1")
