@@ -2,13 +2,15 @@
 
 A ``Gatekeeper`` owns one published store snapshot and funnels every
 mutation through a single writer lock: audit lines first (write-ahead), then
-the snapshot file, then the in-memory publish.  Decisions and menus read the
-last fully published snapshot without the lock, but resolving a bearer token
-slides its session's expiry, which is a commit under the writer lock.
+the snapshot file, then the in-memory publish.  Decisions, menus and bearer
+token resolves read the last fully published snapshot without that lock.  A
+resolve slides its session's expiry in memory only; the next mutation, or
+``persist_slides`` at shutdown, folds the slides into the snapshot it saves.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -25,7 +27,7 @@ from .engine import (
     principal_for,
     visible_menu,
 )
-from .errors import GatekeeperError, UnknownUser
+from .errors import GatekeeperError, InvalidToken, IoFailure, StoreChanged, UnknownUser
 from .model import (
     AccessLevel,
     PolicyConfig,
@@ -55,6 +57,17 @@ def system_clock() -> datetime:
     return datetime.now(timezone.utc)
 
 
+def _generation(path: Path) -> tuple[int, int, int] | None:
+    """The store file's inode, size and mtime; None when there is no file."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise IoFailure(f"cannot stat store at {path}: {exc}") from exc
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
 @dataclass
 class BootstrapResult:
     gatekeeper: "Gatekeeper"
@@ -79,6 +92,11 @@ class Gatekeeper:
         self.clock = clock or system_clock
         self.digest_cost = digest_cost
         self._write_lock = threading.Lock()
+        # The store file as this instance last read or wrote it.
+        self._generation = _generation(self.store_path) if self.store_path else None
+        # token -> an expiry a resolve slid past the published snapshot's.
+        self._slides: dict[str, datetime] = {}
+        self._slide_lock = threading.Lock()
 
     # -- construction ------------------------------------------------------
 
@@ -148,10 +166,10 @@ class Gatekeeper:
         return self._doc.config
 
     def _apply(self, mutate: Callable[[StoreDocument, datetime], directory.MutationResult]):
-        """Run one serialized mutation; the only place that appends to the
-        audit log or commits a snapshot.
+        """Run one serialized mutation and commit what it returns.
 
-        ``mutate`` returns (new snapshot or None, outcome, tuple of audit
+        ``mutate`` sees the published snapshot with every pending slide
+        folded in.  It returns (new snapshot or None, outcome, tuple of audit
         entries, empty when there is nothing to audit).  The entries are
         appended in order, all before the snapshot is saved.  A failure that
         must also change state (a hint mismatch advances its counter, a dead
@@ -161,17 +179,50 @@ class Gatekeeper:
         """
         now = self.clock()
         with self._write_lock:
-            new_doc, outcome, entries = mutate(self._doc, now)
-            for entry in entries:
-                self.audit.append(entry, now)
-            if new_doc is not None and new_doc is not self._doc:
-                new_doc = sessions.prune_expired_sessions(new_doc, now)
-                if self.store_path:
-                    save(new_doc, self.store_path)
-                self._doc = new_doc
+            doc = self._slid(self._doc)
+            new_doc, outcome, entries = mutate(doc, now)
+            self._commit(None if new_doc is doc else new_doc, entries, now)
         if isinstance(outcome, GatekeeperError):
             raise outcome
         return outcome
+
+    def _slid(self, doc: StoreDocument) -> StoreDocument:
+        """``doc`` with the pending slides folded in."""
+        with self._slide_lock:
+            slides = dict(self._slides)
+        return sessions.fold_slides(doc, slides)
+
+    def _commit(self, doc: StoreDocument | None, entries: tuple[AuditEntry, ...], now: datetime) -> None:
+        """The writer path, called under the writer lock: append ``entries``,
+        then prune, save and publish ``doc`` unless it is None, and forget
+        the slides it now carries.  A store file that changed on disk since
+        this instance last read or wrote it is not overwritten."""
+        if doc is not None and self.store_path and _generation(self.store_path) != self._generation:
+            raise StoreChanged(
+                f"store {self.store_path} changed on disk since this process last read or wrote it; "
+                "nothing was saved"
+            )
+        for entry in entries:
+            self.audit.append(entry, now)
+        if doc is None:
+            return
+        doc = sessions.prune_expired_sessions(doc, now)
+        if self.store_path:
+            save(doc, self.store_path)
+            self._generation = _generation(self.store_path)
+        self._doc = doc
+        stored = {s.token: s.expires_at for s in doc.sessions}
+        with self._slide_lock:
+            self._slides = {t: e for t, e in self._slides.items() if e > stored.get(t, e)}
+
+    def persist_slides(self) -> None:
+        """Save the expiries resolves slid in memory; nothing when none is
+        pending.  ``serve`` calls this once on shutdown."""
+        now = self.clock()
+        with self._write_lock:
+            doc = self._slid(self._doc)
+            if doc is not self._doc:
+                self._commit(doc, (), now)
 
     # -- user directory ------------------------------------------------------
 
@@ -264,7 +315,20 @@ class Gatekeeper:
         )
 
     def resolve(self, token: str) -> Principal:
-        return self._apply(lambda doc, now: sessions.resolve(doc, token, now=now))
+        """The principal of a live bearer token.  Reads the published snapshot
+        without the writer lock and keeps the slid expiry in memory; a dead
+        token goes through the writer path, which drops its session."""
+        with self._slide_lock:
+            slid = self._slides.get(token)
+        _, outcome, _ = sessions.resolve(self._doc, token, now=self.clock(), slid=slid)
+        if isinstance(outcome, InvalidToken):
+            # The rule runs again on the snapshot current under the lock.
+            outcome = self._apply(lambda doc, now: sessions.resolve(doc, token, now=now))
+        principal, slide = outcome
+        if slide is not None:
+            with self._slide_lock:  # a concurrent resolve may have recorded a later slide
+                self._slides[token] = max(slide, self._slides.get(token, slide))
+        return principal
 
     def logout(self, token: str) -> None:
         return self._apply(lambda doc, now: sessions.logout(doc, token))

@@ -18,7 +18,9 @@ import fcntl
 import getpass
 import json
 import os
+import signal
 import sys
+import threading
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -369,13 +371,23 @@ def cmd_serve(args, ctx: Ctx) -> int:
         raise IoFailure(f"cannot listen on {host}:{port_text}: {exc}") from exc
     print(f"serving on http://{host}:{port_text}", file=ctx.stdout)
     ctx.stdout.flush()
+    # SIGTERM stops the server like Ctrl-C; only the main thread may set a handler.
+    in_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _interrupt) if in_main else None
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.server_close()
+        if in_main:
+            signal.signal(signal.SIGTERM, previous or signal.SIG_DFL)
+    gk.persist_slides()
     return 0
+
+
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,15 @@ class IoFailure(GatekeeperError):
     default_message = "storage I/O failed"
 
 
+class StoreChanged(GatekeeperError):
+    """The store file changed on disk since this process last read or wrote
+    it, so saving would overwrite another process's commit."""
+
+    code = "store_changed"
+    http_status = 409
+    default_message = "the store file changed on disk; nothing was saved"
+
+
 class ParseFailure(GatekeeperError):
     """Malformed store or audit bytes.  Carries the position when known."""
 

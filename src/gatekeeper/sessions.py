@@ -12,13 +12,16 @@ directory module.  Flows that must both change state and fail return the
 error as the outcome value alongside the new snapshot, and the calling shell
 raises it after committing: a hint mismatch increments the failure counter,
 and a token that is unknown, expired, or whose user is missing or disabled
-has its session (if any) dropped before InvalidToken is raised.
+has its session (if any) dropped before InvalidToken is raised.  A
+successful resolve changes no snapshot: the shell keeps the slid expiry in
+memory and folds it into the next snapshot it commits.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
+from typing import Mapping
 
 from .credentials import (
     dummy_digest,
@@ -107,30 +110,54 @@ def _drop_session(doc: StoreDocument, token: str) -> StoreDocument:
     return doc if len(kept) == len(doc.sessions) else replace(doc, sessions=kept)
 
 
-def _locate(doc: StoreDocument, token: str, now: datetime) -> tuple[Session, UserRecord] | None:
-    """The live session of ``token`` and its user, or None when the token is
-    unknown or expired, or its user is missing or disabled."""
+def _locate(
+    doc: StoreDocument, token: str, now: datetime, slid: datetime | None = None
+) -> tuple[Session, UserRecord, datetime] | None:
+    """The live session of ``token``, its user and its effective expiry, or
+    None when the token is unknown or expired, or its user is missing or
+    disabled.  The effective expiry is the later of the stored one and
+    ``slid``, an expiry an earlier resolve recorded outside the snapshot."""
     session = find_session(doc, token)
-    if session is None or not session.live_at(now):
+    if session is None:
+        return None
+    expires_at = session.expires_at if slid is None else max(session.expires_at, slid)
+    if now > expires_at:
         return None
     user = find_user(doc, session.user_id)
     if user is None or user.status is UserStatus.DISABLED:
         return None
-    return session, user
+    return session, user, expires_at
 
 
-def resolve(doc: StoreDocument, token: str, *, now: datetime) -> MutationResult:
+def resolve(doc: StoreDocument, token: str, *, now: datetime, slid: datetime | None = None) -> MutationResult:
     """Resolve a token to a principal carrying the user's current role and
-    status.  A successful resolve slides the expiry to now + TTL, but never
-    moves it backwards, so a clock stepped back cannot leave a session
-    expiring before it was issued."""
-    located = _locate(doc, token, now)
+    status.
+
+    A live session slides to now + TTL, but never backwards, so a clock
+    stepped back cannot leave a session expiring before it was issued.  The
+    snapshot is left as it is: the outcome is the principal and the slid
+    expiry, or None in its place when the stored expiry is already as late,
+    for the caller to keep until the next commit folds it in (see
+    :func:`fold_slides`).  A dead token's session is dropped instead.
+    """
+    located = _locate(doc, token, now, slid)
     if located is None:
         return _drop_session(doc, token), InvalidToken(), ()
-    session, user = located
-    extended = replace(session, expires_at=max(session.expires_at, _expiry(doc, now)))
-    sessions = tuple(extended if s.token == token else s for s in doc.sessions)
-    return replace(doc, sessions=sessions), principal_for(user), ()
+    session, user, expires_at = located
+    slide = max(expires_at, _expiry(doc, now))
+    return None, (principal_for(user), slide if slide > session.expires_at else None), ()
+
+
+def fold_slides(doc: StoreDocument, slides: Mapping[str, datetime]) -> StoreDocument:
+    """``doc`` with each session's expiry moved to the one ``slides`` holds
+    for its token where that is later; ``doc`` itself when none is."""
+    if not slides:
+        return doc
+    folded = tuple(
+        replace(s, expires_at=slides[s.token]) if slides.get(s.token, s.expires_at) > s.expires_at else s
+        for s in doc.sessions
+    )
+    return doc if folded == doc.sessions else replace(doc, sessions=folded)
 
 
 def logout(doc: StoreDocument, token: str) -> MutationResult:
@@ -159,7 +186,7 @@ def change_password(
     located = _locate(doc, token, now)
     if located is None:
         return _drop_session(doc, token), InvalidToken(), ()
-    _, user = located
+    _, user, _ = located
     if not doc.config.allow_self_password_change:
         raise PolicyForbidden()
     if not verify_secret(old_password, user.password_digest):

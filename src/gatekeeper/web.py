@@ -6,9 +6,10 @@ directory on every request, so role changes and disables bite immediately.
 Login and recovery failures are status- and byte-identical across their
 internal causes.
 
-Requests may be served concurrently.  Decisions and menus read the published
-snapshot, and mutations funnel through the engine's single-writer lock; so
-does every bearer-token resolve, because it slides the session's expiry.
+Requests may be served concurrently.  Decisions, menus and bearer-token
+resolves read the published snapshot, and mutations funnel through the
+engine's single-writer lock.  A resolve slides its session's expiry in
+memory, so a read-only request writes nothing to the store.
 """
 
 from __future__ import annotations

@@ -19,8 +19,9 @@ from gatekeeper import cli
 from gatekeeper.app import Gatekeeper
 from gatekeeper.cli import execute
 from gatekeeper.engine import ANONYMOUS
-from gatekeeper.model import AccessLevel
-from gatekeeper.store import audit_path_for
+from gatekeeper.errors import StoreChanged
+from gatekeeper.model import AccessLevel, Role
+from gatekeeper.store import audit_path_for, format_instant, load
 from gatekeeper.wire import decision_wire
 
 from worlds import NOW
@@ -458,6 +459,65 @@ class TestServeCommand:
             process.communicate(timeout=10)  # waits, and closes the pipes
 
 
+    @pytest.mark.parametrize("slid", [True, False], ids=["slid", "unslid"])
+    def test_sigterm_saves_pending_slides_once_and_exits_0(self, booted, slid):
+        import subprocess
+        import sys
+        import urllib.request
+
+        import gatekeeper
+        from gatekeeper.store import load
+
+        package_root = str(Path(gatekeeper.__file__).resolve().parent.parent)
+        # `python -m gatekeeper` with a save counter reported at exit.
+        script = (
+            "import atexit, sys; import gatekeeper.app as app; from gatekeeper.cli import main; "
+            "saves = []; real = app.save; "
+            "app.save = lambda doc, path: (saves.append(path), real(doc, path)); "
+            "atexit.register(lambda: print(f'saves={len(saves)}', file=sys.stderr)); main()"
+        )
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        base = f"http://127.0.0.1:{port}"
+        process = subprocess.Popen(
+            [sys.executable, "-c", script, "serve", "--bind", f"127.0.0.1:{port}"],
+            env={**booted, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            process.stdout.readline()  # "serving on ..." once the socket listens
+            login = urllib.request.Request(
+                f"{base}/api/login", data=json.dumps({"user_id": "root", "password": "rootpass1"}).encode(),
+                method="POST",
+            )
+            with urllib.request.urlopen(login, timeout=10) as response:
+                session = json.loads(response.read())
+            if slid:
+                time.sleep(0.01)
+                menu = urllib.request.Request(f"{base}/api/menu", headers={"Authorization": f"Bearer {session['token']}"})
+                with urllib.request.urlopen(menu, timeout=10) as response:
+                    assert response.status == 200
+            before = Path(booted["GATEKEEPER_STORE"]).read_bytes()
+            stopped = time.monotonic()
+            process.terminate()
+            _, err = process.communicate(timeout=10)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, err
+        assert time.monotonic() - stopped < 5
+        assert err.decode().splitlines() == [f"saves={2 if slid else 1}"]  # the login, then the flush
+        stored = load(booted["GATEKEEPER_STORE"])
+        expires_at = next(s.expires_at for s in stored.sessions if s.token == session["token"])
+        if slid:
+            assert format_instant(expires_at) > session["expires_at"]
+        else:
+            assert Path(booted["GATEKEEPER_STORE"]).read_bytes() == before
+            assert format_instant(expires_at) == session["expires_at"]
+
     @pytest.mark.parametrize("bind", ["127.0.0.1:99999", "127.0.0.1:\u0663"], ids=["out-of-range", "non-ascii-digit"])
     def test_bad_port_is_a_usage_error(self, booted, monkeypatch, bind):
         def unreachable(*args):
@@ -501,6 +561,38 @@ class TestStoreWrites:
         code, _, err = run(admin_args(command), booted)
         assert code == 0, err
         assert len(calls) == saves
+
+
+class TestLostUpdates:
+    """An open engine never overwrites a store another process changed."""
+
+    def test_a_cli_write_under_an_open_instance_is_not_overwritten(self, booted):
+        store = booted["GATEKEEPER_STORE"]
+        gk = Gatekeeper.open(store, digest_cost=4)
+        assert run(admin_args(["user", "add", "alice", "--role", "staff", "--password", "password1"]), booted)[0] == 0
+        with pytest.raises(StoreChanged) as excinfo:
+            gk.create_user(gk.principal_for("root"), "bob", "password1", Role.STAFF)
+        assert store in excinfo.value.message
+        assert {u.user_id for u in load(store).users} == {"root", "alice"}
+        assert not [e for e in Gatekeeper.open(store).audit_events(kind="user_created") if e.detail["user_id"] == "bob"]
+
+    def test_an_instance_write_then_a_cli_write_then_the_instance_is_refused(self, booted):
+        store = booted["GATEKEEPER_STORE"]
+        gk = Gatekeeper.open(store, digest_cost=4)
+        gk.create_user(gk.principal_for("root"), "bob", "password1", Role.STAFF)
+        assert run(admin_args(["user", "add", "alice", "--role", "staff", "--password", "password1"]), booted)[0] == 0
+        assert {u.user_id for u in load(store).users} == {"root", "bob", "alice"}
+        with pytest.raises(StoreChanged):
+            gk.create_user(gk.principal_for("root"), "carol", "password1", Role.STAFF)
+        assert {u.user_id for u in load(store).users} == {"root", "bob", "alice"}
+
+    def test_a_denial_after_a_cli_write_is_still_answered(self, booted):
+        add = ["resource", "add", "rep", "--class", "managerial", "--group", "manager-reports"]
+        assert run(admin_args(add), booted)[0] == 0
+        gk = Gatekeeper.open(booted["GATEKEEPER_STORE"], digest_cost=4)
+        assert run(admin_args(["user", "add", "alice", "--role", "staff", "--password", "password1"]), booted)[0] == 0
+        assert not gk.check(ANONYMOUS, "rep", AccessLevel.READ).allowed  # appends, saves nothing
+        assert gk.audit_events()[-1].kind == "access_denied"
 
 
 @contextlib.contextmanager

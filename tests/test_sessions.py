@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+import sys
+import tempfile
+import threading
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -22,12 +26,12 @@ from gatekeeper.errors import (
     RecoveryUnavailable,
     WeakPassword,
 )
-from gatekeeper.model import MenuGroup, PolicyConfig, Role, UserStatus
+from gatekeeper.model import AccessLevel, DataClass, MenuGroup, PolicyConfig, Role, UserStatus
 from gatekeeper.sessions import RECOVERY_LOCK_THRESHOLD
 from gatekeeper.store import load
 
 from test_directory import fresh
-from worlds import FAST_COST, FakeClock
+from worlds import FAST_COST, FakeClock, make_resource
 
 
 class TestLogin:
@@ -184,6 +188,248 @@ class TestResolve:
         with pytest.raises(InvalidToken):
             populated.resolve(session.token)
         assert all(s.token != session.token for s in populated.snapshot.sessions)
+
+
+def file_backed(tmp_path, clock):
+    """A file-store engine with root and a staff user, and a staff session."""
+    gk = Gatekeeper.bootstrap(
+        "root", "rootpass1", store_path=tmp_path / "store.json", clock=clock, digest_cost=FAST_COST
+    ).gatekeeper
+    gk.create_user(gk.principal_for("root"), "staffer", "password1", Role.STAFF)
+    return gk, gk.login("staffer", "password1")
+
+
+def stored_expiry(gk, token):
+    return next(s.expires_at for s in load(gk.store_path).sessions if s.token == token)
+
+
+class TestSlideInMemory:
+    """A resolve slides the expiry in memory; the next commit saves it."""
+
+    def test_a_resolve_saves_nothing_and_leaves_the_store_bytes(self, tmp_path, clock, monkeypatch):
+        import gatekeeper.app as app
+
+        gk, session = file_backed(tmp_path, clock)
+        before, snapshot = gk.store_path.read_bytes(), gk.snapshot
+        saves = []
+        monkeypatch.setattr(app, "save", lambda doc, path: saves.append(path))
+        clock.advance(seconds=100)
+        assert gk.resolve(session.token).user_id == "staffer"
+        assert saves == []
+        assert gk.store_path.read_bytes() == before
+        assert gk.snapshot is snapshot
+
+    def test_the_next_mutation_saves_the_slid_expiry(self, tmp_path, clock):
+        gk, session = file_backed(tmp_path, clock)
+        clock.advance(seconds=100)
+        gk.resolve(session.token)
+        assert stored_expiry(gk, session.token) == session.expires_at
+        gk.create_user(gk.principal_for("root"), "newbie", "password1", Role.GUEST)
+        assert stored_expiry(gk, session.token) == clock() + timedelta(seconds=gk.config.session_ttl_seconds)
+
+    def test_a_mutation_past_the_stored_expiry_keeps_a_slid_session(self, tmp_path, clock):
+        gk, session = file_backed(tmp_path, clock)
+        ttl = gk.config.session_ttl_seconds
+        clock.advance(seconds=ttl - 10)
+        gk.resolve(session.token)
+        clock.advance(seconds=20)  # past the stored expiry, inside the slid one
+        gk.create_user(gk.principal_for("root"), "newbie", "password1", Role.GUEST)
+        assert any(s.token == session.token for s in load(gk.store_path).sessions)
+        gk.change_password(session.token, "password1", "password2")
+        assert gk.login("staffer", "password2")
+
+    def test_a_password_change_sees_a_session_slid_only_in_memory(self, tmp_path, clock):
+        gk, session = file_backed(tmp_path, clock)
+        ttl = gk.config.session_ttl_seconds
+        clock.advance(seconds=ttl - 10)
+        gk.resolve(session.token)
+        clock.advance(seconds=20)
+        assert stored_expiry(gk, session.token) < clock()
+        gk.change_password(session.token, "password1", "password2")
+        assert gk.resolve(session.token).user_id == "staffer"
+
+    def test_a_live_resolve_does_not_wait_for_the_writer_lock(self, tmp_path, clock):
+        gk, session = file_backed(tmp_path, clock)
+        clock.advance(seconds=gk.config.session_ttl_seconds - 10)
+        gk.resolve(session.token)
+        clock.advance(seconds=20)  # live only through the slide held in memory
+        resolved = []
+        with gk._write_lock:
+            reader = threading.Thread(target=lambda: resolved.append(gk.resolve(session.token).user_id))
+            reader.start()
+            reader.join(timeout=5)
+            finished = not reader.is_alive()
+        reader.join()
+        assert finished
+        assert resolved == ["staffer"]
+
+    def test_an_unknown_token_with_a_pending_slide_saves_nothing(self, tmp_path, clock, monkeypatch):
+        import gatekeeper.app as app
+
+        gk, session = file_backed(tmp_path, clock)
+        clock.advance(seconds=100)
+        gk.resolve(session.token)
+        saves = []
+        monkeypatch.setattr(app, "save", lambda doc, path: saves.append(path))
+        with pytest.raises(InvalidToken):
+            gk.resolve("no-such-token")
+        assert saves == []
+
+    def test_the_rule_keeps_the_later_of_the_stored_and_the_slid_expiry(self, populated, clock):
+        from gatekeeper import sessions
+
+        session = populated.login("boss", "password1")
+        ttl = timedelta(seconds=populated.config.session_ttl_seconds)
+        doc, now = populated.snapshot, clock()
+        later = session.expires_at + timedelta(minutes=10)
+        assert sessions.resolve(doc, session.token, now=now, slid=later)[1][1] == later
+        assert sessions.resolve(doc, session.token, now=now, slid=None)[1][1] is None  # stored is as late
+        assert sessions.resolve(doc, session.token, now=now + ttl, slid=later)[1][1] == now + 2 * ttl
+        _, outcome, _ = sessions.resolve(doc, session.token, now=later + timedelta(seconds=1), slid=later)
+        assert isinstance(outcome, InvalidToken)
+
+    def test_an_expired_slide_is_invalid_and_dropped(self, tmp_path, clock):
+        gk, session = file_backed(tmp_path, clock)
+        ttl = gk.config.session_ttl_seconds
+        clock.advance(seconds=ttl - 10)
+        gk.resolve(session.token)
+        clock.advance(seconds=ttl + 1)
+        with pytest.raises(InvalidToken):
+            gk.resolve(session.token)
+        assert all(s.token != session.token for s in load(gk.store_path).sessions)
+        assert session.token not in gk._slides
+
+    @pytest.mark.parametrize("end", ["logout", "password-change", "recovery"])
+    def test_ending_a_session_removes_its_slide(self, tmp_path, clock, end):
+        gk, session = file_backed(tmp_path, clock)
+        other = gk.login("staffer", "password1")
+        clock.advance(seconds=100)
+        gk.resolve(session.token)
+        gk.resolve(other.token)
+        assert set(gk._slides) == {session.token, other.token}
+        if end == "logout":
+            gk.logout(other.token)
+        elif end == "password-change":
+            gk.change_password(session.token, "password1", "password2")  # ends the other session
+        else:
+            gk.create_user(gk.principal_for("root"), "helper", "password1", Role.STAFF, "pet?", "rex")
+            other = gk.login("helper", "password1")
+            clock.advance(seconds=10)
+            gk.resolve(other.token)
+            assert other.token in gk._slides
+            gk.recover_complete("helper", "rex")
+        assert other.token not in gk._slides
+        with pytest.raises(InvalidToken):
+            gk.resolve(other.token)
+
+    def test_a_slide_never_moves_an_expiry_backwards(self, tmp_path, clock):
+        gk, session = file_backed(tmp_path, clock)
+        clock.advance(seconds=100)
+        gk.resolve(session.token)
+        slid = gk._slides[session.token]
+        clock.advance(seconds=-50)
+        gk.resolve(session.token)
+        assert gk._slides[session.token] == slid
+        gk.create_user(gk.principal_for("root"), "newbie", "password1", Role.GUEST)
+        assert stored_expiry(gk, session.token) == slid
+        clock.advance(seconds=-50)
+        gk.resolve(session.token)
+        assert session.token not in gk._slides  # the stored expiry is already later
+
+    def test_a_denial_with_a_pending_slide_saves_nothing(self, tmp_path, clock, monkeypatch):
+        import gatekeeper.app as app
+
+        gk, session = file_backed(tmp_path, clock)
+        gk.add_resource(
+            gk.principal_for("root"),
+            make_resource("monthly-report", DataClass.MANAGERIAL, MenuGroup.MANAGER_REPORTS, AccessLevel.READ),
+        )
+        clock.advance(seconds=100)
+        principal = gk.resolve(session.token)
+        snapshot, saves = gk.snapshot, []
+        monkeypatch.setattr(app, "save", lambda doc, path: saves.append(path))
+        assert not gk.check(principal, "monthly-report", AccessLevel.READ).allowed
+        assert gk.audit_events()[-1].kind == "access_denied"
+        assert saves == []
+        assert gk.snapshot is snapshot
+
+    @pytest.mark.parametrize("slid", [True, False], ids=["slid", "unslid"])
+    def test_persist_slides_saves_once_and_only_when_a_slide_is_pending(self, tmp_path, clock, monkeypatch, slid):
+        import gatekeeper.app as app
+
+        gk, session = file_backed(tmp_path, clock)
+        clock.advance(seconds=100)
+        if slid:
+            gk.resolve(session.token)
+        saves, real_save = [], app.save
+        monkeypatch.setattr(app, "save", lambda doc, path: (saves.append(path), real_save(doc, path)))
+        gk.persist_slides()
+        gk.persist_slides()
+        assert len(saves) == (1 if slid else 0)
+        assert Gatekeeper.open(gk.store_path, clock=clock).resolve(session.token).user_id == "staffer"
+        expected = clock() if slid else clock() - timedelta(seconds=100)
+        assert stored_expiry(gk, session.token) == expected + timedelta(seconds=gk.config.session_ttl_seconds)
+
+
+class TickingClock:
+    """A thread-safe clock that moves forward one millisecond per reading."""
+
+    def __init__(self):
+        self.current = datetime(2030, 1, 1, tzinfo=timezone.utc)
+        self.lock = threading.Lock()
+
+    def __call__(self) -> datetime:
+        with self.lock:
+            self.current += timedelta(milliseconds=1)
+            return self.current
+
+
+def test_concurrent_resolves_and_commits_lose_no_slide(tmp_path):
+    clock = TickingClock()
+    gk = Gatekeeper.bootstrap(
+        "root", "rootpass1", store_path=tmp_path / "store.json", clock=clock, digest_cost=FAST_COST
+    ).gatekeeper
+    tokens = [gk.login("root", "rootpass1").token for _ in range(4)]
+    ttl = timedelta(seconds=gk.config.session_ttl_seconds)
+    floor = {token: datetime.min.replace(tzinfo=timezone.utc) for token in tokens}
+    errors = []
+
+    floor_lock = threading.Lock()
+
+    def resolver(token):
+        try:
+            for _ in range(300):
+                before = clock()
+                gk.resolve(token)
+                with floor_lock:  # the resolve read its clock after `before`
+                    floor[token] = max(floor[token], before + ttl)
+        except Exception as exc:  # reported below; a thread's exception is otherwise lost
+            errors.append(exc)
+
+    def committer():
+        try:
+            for i in range(20):
+                gk.create_user(gk.principal_for("root"), f"user{i}", "password1", Role.GUEST)
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=resolver, args=(t,)) for t in tokens + tokens]
+        threads.append(threading.Thread(target=committer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    gk.persist_slides()
+    stored = {s.token: s.expires_at for s in load(gk.store_path).sessions}
+    for token in tokens:
+        assert stored[token] >= floor[token]
 
 
 class TestLogout:
@@ -380,6 +626,105 @@ class SessionDirectoryMachine(RuleBasedStateMachine):
 def test_session_directory_state_machine():
     run_state_machine_as_test(
         SessionDirectoryMachine,
+        settings=settings(max_examples=40, stateful_step_count=25, deadline=None),
+    )
+
+
+class SlidingSessionMachine(RuleBasedStateMachine):
+    """Logins, resolves, logouts, commits, clock moves and restarts against a
+    model of each token's expiry: the effective one (slides included) and the
+    saved one.  After every step each token resolves exactly when the model
+    says it is live.  A restart after the shutdown flush keeps every slide; a
+    crash keeps only what the last commit saved, so sessions expire earlier."""
+
+    def __init__(self):
+        super().__init__()
+        self.workdir = tempfile.TemporaryDirectory()
+        self.path = Path(self.workdir.name) / "store.json"
+        self.clock = FakeClock()
+        self.gk = Gatekeeper.bootstrap(
+            "root", "rootpass1", store_path=self.path, clock=self.clock, digest_cost=FAST_COST
+        ).gatekeeper
+        self.ttl = timedelta(seconds=self.gk.config.session_ttl_seconds)
+        self.effective: dict[str, datetime] = {}
+        self.saved: dict[str, datetime] = {}
+        self.dead: set[str] = set()
+        self.users = 0
+
+    def teardown(self):
+        self.workdir.cleanup()
+
+    def _committed(self):
+        self.saved = dict(self.effective)
+
+    def _reopen(self):
+        self.gk = Gatekeeper.open(self.path, clock=self.clock, digest_cost=FAST_COST)
+
+    @rule()
+    def login(self):
+        token = self.gk.login("root", "rootpass1").token
+        self._committed()
+        self.effective[token] = self.saved[token] = self.clock() + self.ttl
+
+    @rule(data=st.data())
+    def logout(self, data):
+        known = sorted(self.effective) + sorted(self.dead)
+        if not known:
+            return
+        token = data.draw(st.sampled_from(known))
+        self.gk.logout(token)
+        if token in self.effective:
+            del self.effective[token]
+            self._committed()
+            self.dead.add(token)
+
+    @rule()
+    def commit(self):
+        self.users += 1
+        self.gk.create_user(self.gk.principal_for("root"), f"user{self.users}", "password1", Role.GUEST)
+        self._committed()
+
+    @rule(seconds=st.sampled_from([-120, 60, 600, 1700, 1900]))
+    def advance(self, seconds):
+        self.clock.advance(seconds=seconds)
+
+    @rule()
+    def restart(self):
+        self.gk.persist_slides()
+        self._committed()
+        self._reopen()
+
+    @rule()
+    def crash(self):
+        self._reopen()
+        self.effective = dict(self.saved)
+
+    @invariant()
+    def tokens_resolve_exactly_when_live(self):
+        now = self.clock()
+        for token in sorted(self.effective):
+            if now <= self.effective[token]:
+                assert self.gk.resolve(token).user_id == "root"
+                self.effective[token] = max(self.effective[token], now + self.ttl)
+                continue
+            with pytest.raises(InvalidToken):
+                self.gk.resolve(token)
+            del self.effective[token]
+            self._committed()  # the dead session was dropped by a commit
+            self.dead.add(token)
+        for token in self.dead:
+            with pytest.raises(InvalidToken):
+                self.gk.resolve(token)
+
+    @invariant()
+    def the_store_holds_what_the_last_commit_saved(self):
+        stored = {s.token: s.expires_at for s in load(self.path).sessions}
+        assert {token: stored.get(token) for token in self.saved} == self.saved
+
+
+def test_sliding_session_state_machine():
+    run_state_machine_as_test(
+        SlidingSessionMachine,
         settings=settings(max_examples=40, stateful_step_count=25, deadline=None),
     )
 

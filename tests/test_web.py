@@ -353,7 +353,7 @@ class TestAdminEndpoints:
         response = call(service, "PATCH", "/api/admin/users/staffer", token=token,
                         body={"role": "manager", "status": "disabled"})
         assert response.status == 200
-        assert len(saves) == 2  # the bearer resolve, then the update
+        assert len(saves) == 1  # the update; the bearer resolve saves nothing
         role_changed, status_changed = gk.audit_events()[-2:]
         assert (role_changed.kind, status_changed.kind) == ("role_changed", "status_changed")
         assert status_changed.seq == role_changed.seq + 1
@@ -477,6 +477,7 @@ _NON_400_STATUS = {
     errors.SelfDemotionForbidden: 409,
     errors.SelfDisableForbidden: 409,
     errors.ResourceAlreadyExists: 409,
+    errors.StoreChanged: 409,
     errors.IoFailure: 500,
 }
 
