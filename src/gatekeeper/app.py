@@ -10,6 +10,7 @@ resolve slides its session's expiry in memory only; the next mutation, or
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from dataclasses import dataclass, replace
@@ -48,6 +49,7 @@ from .store import (
     audit_path_for,
     load,
     save,
+    store_lock,
 )
 
 Clock = Callable[[], datetime]
@@ -85,7 +87,10 @@ class Gatekeeper:
         store_path: str | Path | None = None,
         clock: Clock | None = None,
         digest_cost: int = DEFAULT_COST,
+        generation: tuple[int, int, int] | None = None,
     ):
+        """``generation`` is the store file's stamp taken before ``document``
+        was read from it; None when there is no file yet."""
         self._doc = document
         self.store_path = Path(store_path) if store_path is not None else None
         self.audit = FileAuditLog(audit_path_for(self.store_path)) if self.store_path else MemoryAuditLog()
@@ -93,7 +98,7 @@ class Gatekeeper:
         self.digest_cost = digest_cost
         self._write_lock = threading.Lock()
         # The store file as this instance last read or wrote it.
-        self._generation = _generation(self.store_path) if self.store_path else None
+        self._generation = generation
         # token -> an expiry a resolve slid past the published snapshot's.
         self._slides: dict[str, datetime] = {}
         self._slide_lock = threading.Lock()
@@ -152,7 +157,10 @@ class Gatekeeper:
         clock: Clock | None = None,
         digest_cost: int = DEFAULT_COST,
     ) -> "Gatekeeper":
-        return cls(load(store_path), store_path=store_path, clock=clock, digest_cost=digest_cost)
+        # Stamped before the load: a save landing in between is refused later, not lost.
+        generation = _generation(Path(store_path))
+        return cls(load(store_path), store_path=store_path, clock=clock, digest_cost=digest_cost,
+                   generation=generation)
 
     # -- snapshot plumbing ---------------------------------------------------
 
@@ -195,21 +203,25 @@ class Gatekeeper:
     def _commit(self, doc: StoreDocument | None, entries: tuple[AuditEntry, ...], now: datetime) -> None:
         """The writer path, called under the writer lock: append ``entries``,
         then prune, save and publish ``doc`` unless it is None, and forget
-        the slides it now carries.  A store file that changed on disk since
-        this instance last read or wrote it is not overwritten."""
-        if doc is not None and self.store_path and _generation(self.store_path) != self._generation:
-            raise StoreChanged(
-                f"store {self.store_path} changed on disk since this process last read or wrote it; "
-                "nothing was saved"
-            )
-        for entry in entries:
-            self.audit.append(entry, now)
-        if doc is None:
-            return
-        doc = sessions.prune_expired_sessions(doc, now)
-        if self.store_path:
-            save(doc, self.store_path)
-            self._generation = _generation(self.store_path)
+        the slides it now carries.  A save holds the store lock the CLI's
+        writing commands take, from the check that the store file is as this
+        instance last read or wrote it until the new file is stamped; a file
+        that changed is not overwritten."""
+        saving = doc is not None and self.store_path is not None
+        with store_lock(self.store_path) if saving else contextlib.nullcontext():
+            if saving and _generation(self.store_path) != self._generation:
+                raise StoreChanged(
+                    f"store {self.store_path} changed on disk since this process last read or wrote it; "
+                    "nothing was saved"
+                )
+            for entry in entries:
+                self.audit.append(entry, now)
+            if doc is None:
+                return
+            doc = sessions.prune_expired_sessions(doc, now)
+            if saving:
+                save(doc, self.store_path)
+                self._generation = _generation(self.store_path)
         self._doc = doc
         stored = {s.token: s.expires_at for s in doc.sessions}
         with self._slide_lock:

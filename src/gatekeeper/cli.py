@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import fcntl
 import getpass
 import json
 import os
@@ -31,7 +30,7 @@ from .credentials import DEFAULT_COST
 from .engine import ANONYMOUS, Principal
 from .errors import GatekeeperError, IoFailure
 from .model import AccessLevel, DataClass, MenuGroup, PolicyConfig, Resource, Role, SelfRegistrationMode, UserStatus
-from .store import format_instant, parse_instant, to_wire
+from .store import format_instant, parse_instant, store_lock, to_wire
 from .web import make_server
 from .wire import decision_wire, menu_wire, public_user
 
@@ -66,19 +65,6 @@ class Ctx:
             print(json.dumps(payload, sort_keys=True), file=self.stdout)
         else:
             print(human, file=self.stdout)
-
-
-@contextlib.contextmanager
-def _store_lock(store_path: Path) -> Iterator[None]:
-    """Advisory exclusive lock taken for mutating commands."""
-    lock_path = store_path.with_suffix(".lock")
-    fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o600)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
-    finally:
-        fcntl.flock(fd, fcntl.LOCK_UN)
-        os.close(fd)
 
 
 def _instant(text: str) -> datetime:
@@ -117,7 +103,7 @@ def _open(ctx: Ctx) -> Gatekeeper:
 @contextlib.contextmanager
 def _locked(ctx: Ctx) -> Iterator[Gatekeeper]:
     """Take the store lock, then open the store; for mutating commands."""
-    with _store_lock(ctx.store_path):
+    with store_lock(ctx.store_path):
         yield _open(ctx)
 
 

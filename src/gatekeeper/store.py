@@ -18,14 +18,17 @@ never handed out again.
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import json
 import os
 import tempfile
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .credentials import digest_from_wire, digest_to_wire
 from .errors import (
@@ -446,6 +449,34 @@ def load(path: str | Path) -> StoreDocument:
     except OSError as exc:
         raise IoFailure(f"cannot read store at {path}: {exc}") from exc
     return loads(payload)
+
+
+_held = threading.local()
+
+
+@contextlib.contextmanager
+def store_lock(store_path: str | Path) -> Iterator[None]:
+    """Hold the advisory exclusive lock on the store's ``.lock`` sibling,
+    which serializes the processes that write one store.  A thread that
+    already holds it for this store takes it again at no cost."""
+    lock_path = Path(store_path).with_suffix(".lock")
+    held = _held.__dict__.setdefault("paths", set())
+    key = os.path.abspath(lock_path)
+    if key in held:
+        yield
+        return
+    try:
+        lock_path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o600)
+    except OSError as exc:
+        raise IoFailure(f"cannot open store lock at {lock_path}: {exc}") from exc
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        held.add(key)
+        yield
+    finally:
+        held.discard(key)
+        os.close(fd)  # closing the descriptor releases the lock
 
 
 # ---------------------------------------------------------------------------

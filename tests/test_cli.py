@@ -15,13 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from gatekeeper import cli
+from gatekeeper import app, cli
 from gatekeeper.app import Gatekeeper
 from gatekeeper.cli import execute
 from gatekeeper.engine import ANONYMOUS
 from gatekeeper.errors import StoreChanged
 from gatekeeper.model import AccessLevel, Role
-from gatekeeper.store import audit_path_for, format_instant, load
+from gatekeeper.store import audit_path_for, format_instant, load, save
 from gatekeeper.wire import decision_wire
 
 from worlds import NOW
@@ -585,6 +585,44 @@ class TestLostUpdates:
         with pytest.raises(StoreChanged):
             gk.create_user(gk.principal_for("root"), "carol", "password1", Role.STAFF)
         assert {u.user_id for u in load(store).users} == {"root", "bob", "alice"}
+
+    def test_a_cli_write_between_load_and_construction_is_not_overwritten(self, booted, monkeypatch):
+        store = booted["GATEKEEPER_STORE"]
+
+        def load_then_cli_write(path):
+            monkeypatch.undo()  # the CLI's own open loads unpatched
+            doc = load(path)
+            assert run(admin_args(["user", "add", "alice", "--role", "staff", "--password", "password1"]), booted)[0] == 0
+            return doc
+
+        monkeypatch.setattr(app, "load", load_then_cli_write)
+        gk = Gatekeeper.open(store, digest_cost=4)
+        with pytest.raises(StoreChanged):
+            gk.create_user(gk.principal_for("root"), "bob", "password1", Role.STAFF)
+        assert {u.user_id for u in load(store).users} == {"root", "alice"}
+
+    def test_a_save_waits_for_the_store_lock_and_checks_the_file_under_it(self, booted):
+        store = booted["GATEKEEPER_STORE"]
+        gk = Gatekeeper.open(store, digest_cost=4)
+        root = gk.principal_for("root")
+        errors = []
+
+        def add_bob():
+            try:
+                gk.create_user(root, "bob", "password1", Role.STAFF)
+            except StoreChanged as exc:
+                errors.append(exc)
+
+        writer = threading.Thread(target=add_bob)
+        with holding_store_lock(booted):
+            writer.start()
+            time.sleep(0.5)
+            assert writer.is_alive(), "the save did not wait for the store lock"
+            save(load(store), store)  # another process's write, made under the lock
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert len(errors) == 1
+        assert "bob" not in {u.user_id for u in load(store).users}
 
     def test_a_denial_after_a_cli_write_is_still_answered(self, booted):
         add = ["resource", "add", "rep", "--class", "managerial", "--group", "manager-reports"]

@@ -1,19 +1,18 @@
-"""Interleaved parent/change benchmark pairs, written to a BENCH_<n>.json.
+"""Interleaved parent/change benchmark pairs, written to a new BENCH_<n>.json.
 
-    python3 tools/pairs.py --base HEAD~1 --pairs 10 --workload portal-read
+    python3 tools/pairs.py --base HEAD~1 --pairs 10 [--workload portal-read]
 
-Both sides run ``bench/run.py`` from a fresh export of their files: the base
-is ``git archive <rev>``, the change is this checkout's working tree (its
-tracked and untracked, not ignored files), so no side reads a bytecode cache
-the other lacks.  Every run gets ``PYTHONDONTWRITEBYTECODE=1``.  Pair ``i``
-uses seed ``--seed + i`` on both sides, and the side that runs first
-alternates.  The output holds the machine, both revisions, every run's
-metrics and ``fail_ratio``, and per side the median and the interquartile
-range (IQR) of each metric, plus how many pairs the change won.
-
-Runs of one base and change gather in one file: without ``--out`` the
-results go to the lowest-numbered ``BENCH_<n>.json`` in the checkout that
-either does not exist or compares the same two revisions.
+The change is this checkout's HEAD commit; a checkout with uncommitted
+changes to tracked files is refused, so the output names the code it
+measured.  Both sides run ``bench/run.py`` from a ``git archive`` export of
+their commit into a fresh directory, so no side reads a bytecode cache the
+other lacks.  Every run gets ``PYTHONDONTWRITEBYTECODE=1`` and lasts
+BENCHMARK.json's ``run_seconds``.  Every workload BENCHMARK.json lists runs,
+or only ``--workload``.  Pair ``i`` uses seed ``FIRST_SEED + i`` on both
+sides, and the side that runs first alternates.  The output, the next free
+``BENCH_<n>.json`` in the checkout, holds the machine, both revisions, every
+run's metrics and ``fail_ratio``, and per side the median and the
+interquartile range (IQR) of each metric, plus how many pairs the change won.
 Exports live under ``.pairs_work/`` and are removed at the end.
 Standard library only.
 """
@@ -34,6 +33,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+FIRST_SEED = 41
 
 
 def _git(*args: str) -> str:
@@ -46,15 +46,6 @@ def _export_rev(rev: str, dest: Path) -> None:
             archive.extractall(dest, filter="data")
     if proc.returncode:
         raise SystemExit(f"git archive {rev} failed")
-
-
-def _export_worktree(dest: Path) -> None:
-    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
-    for name in filter(None, listed):
-        source = ROOT / name
-        if source.is_file():
-            (dest / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(source, dest / name)
 
 
 def _machine() -> dict:
@@ -112,63 +103,51 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
-def _output_path(base: dict, change: dict) -> Path:
-    n = 1
-    while True:
-        path = ROOT / f"BENCH_{n}.json"
-        if not path.exists():
-            return path
-        existing = json.loads(path.read_text())
-        if existing.get("base") == base and existing.get("change") == change:
-            return path
-        n += 1
-
-
 def main(argv: list[str] | None = None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seconds", type=float, default=45.0)
-    parser.add_argument("--seed", type=int, default=41, help="seed of the first pair")
-    parser.add_argument("--out", type=Path)
+    parser.add_argument("--workload", choices=names, help="run only this workload")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if _git("status", "--porcelain", "--untracked-files=no").strip():
+        raise SystemExit("the checkout has uncommitted changes; commit them so the results name what they measured")
 
-    base = {"revision": _git("rev-parse", "--verify", f"{args.base}^{{commit}}").strip(), "tree": "git archive"}
-    dirty = bool(_git("status", "--porcelain", "--untracked-files=no").strip())
-    change = {"revision": _git("rev-parse", "HEAD").strip(),
-              "tree": "working tree with uncommitted changes" if dirty else "working tree"}
-    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-
+    revisions = {
+        "base": _git("rev-parse", "--verify", f"{args.base}^{{commit}}").strip(),
+        "change": _git("rev-parse", "HEAD").strip(),
+    }
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    workloads = {}
     (ROOT / ".pairs_work").mkdir(exist_ok=True)
     work = Path(tempfile.mkdtemp(dir=ROOT / ".pairs_work"))
     try:
-        trees = {"base": work / "base", "change": work / "change"}
-        _export_rev(base["revision"], trees["base"])
-        _export_worktree(trees["change"])
-        pairs = []
-        for i in range(args.pairs):
-            order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
-            pair = {"first": order[0]}
-            for side in order:
-                pair[side] = _run(trees[side], args.workload, args.seed + i, args.seconds)
-                print(f"pair {i + 1}/{args.pairs} {side}: ops_per_s {pair[side]['metrics'].get('ops_per_s')}",
-                      file=sys.stderr)
-            pairs.append(pair)
+        trees = {side: work / side for side in revisions}
+        for side, revision in revisions.items():
+            _export_rev(revision, trees[side])
+        for workload in [args.workload] if args.workload else names:
+            pairs = []
+            for i in range(args.pairs):
+                order = ["base", "change"] if i % 2 == 0 else ["change", "base"]
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = _run(trees[side], workload, FIRST_SEED + i, seconds)
+                    print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
+                          f"ops_per_s {pair[side]['metrics'].get('ops_per_s')}", file=sys.stderr)
+                pairs.append(pair)
+            workloads[workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    out = args.out or _output_path(base, change)
-    payload = json.loads(out.read_text()) if out.exists() else {}
-    if payload.get("base") != base or payload.get("change") != change:
-        payload = {"machine": _machine(), "base": base, "change": change, "workloads": {}}
-    payload["workloads"][args.workload] = {
-        "seconds": args.seconds,
-        "pairs": pairs,
-        "summary": summarize(pairs, better),
-    }
+    n = 1
+    while (ROOT / f"BENCH_{n}.json").exists():
+        n += 1
+    out = ROOT / f"BENCH_{n}.json"
+    payload = {"machine": _machine(), **revisions, "seconds": seconds, "workloads": workloads}
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(out)
     return 0
