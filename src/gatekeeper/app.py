@@ -28,7 +28,7 @@ from .engine import (
     principal_for,
     visible_menu,
 )
-from .errors import GatekeeperError, InvalidToken, IoFailure, StoreChanged, UnknownUser
+from .errors import GatekeeperError, IoFailure, StoreChanged, UnknownUser
 from .model import (
     AccessLevel,
     PolicyConfig,
@@ -174,67 +174,55 @@ class Gatekeeper:
         return self._doc.config
 
     def _apply(self, mutate: Callable[[StoreDocument, datetime], directory.MutationResult]):
-        """Run one serialized mutation and commit what it returns.
+        """Run one serialized mutation and commit what it returns; every
+        write goes through here.
 
         ``mutate`` sees the published snapshot with every pending slide
-        folded in.  It returns (new snapshot or None, outcome, tuple of audit
+        folded in.  It returns (new snapshot, outcome, tuple of audit
         entries, empty when there is nothing to audit).  The entries are
-        appended in order, all before the snapshot is saved.  A failure that
-        must also change state (a hint mismatch advances its counter, a dead
-        session is dropped) returns its error as the outcome, which is raised
-        after the new snapshot is committed; an unchanged snapshot is not
-        saved.
+        appended in order, all before the snapshot is saved.  The snapshot
+        is pruned of expired sessions, saved and published, unless it is
+        None or the published snapshot itself; the slides it now carries are
+        forgotten.  A save holds the store lock the CLI's writing commands
+        take, from the check that the store file is as this instance last
+        read or wrote it until the new file is stamped; a file that changed
+        is not overwritten.  A failure that must also change state (a hint
+        mismatch advances its counter) returns its error as the outcome,
+        which is raised after the commit.
         """
         now = self.clock()
         with self._write_lock:
-            doc = self._slid(self._doc)
-            new_doc, outcome, entries = mutate(doc, now)
-            self._commit(None if new_doc is doc else new_doc, entries, now)
+            with self._slide_lock:
+                slides = dict(self._slides)
+            doc, outcome, entries = mutate(sessions.fold_slides(self._doc, slides), now)
+            saving = doc is not None and doc is not self._doc
+            on_file = saving and self.store_path is not None
+            with store_lock(self.store_path) if on_file else contextlib.nullcontext():
+                if on_file and _generation(self.store_path) != self._generation:
+                    raise StoreChanged(
+                        f"store {self.store_path} changed on disk since this process last read or wrote it; "
+                        "nothing was saved"
+                    )
+                for entry in entries:
+                    self.audit.append(entry, now)
+                if saving:
+                    doc = sessions.prune_expired_sessions(doc, now)
+                    if on_file:
+                        save(doc, self.store_path)
+                        self._generation = _generation(self.store_path)
+            if saving:
+                self._doc = doc
+                stored = {s.token: s.expires_at for s in doc.sessions}
+                with self._slide_lock:
+                    self._slides = {t: e for t, e in self._slides.items() if e > stored.get(t, e)}
         if isinstance(outcome, GatekeeperError):
             raise outcome
         return outcome
 
-    def _slid(self, doc: StoreDocument) -> StoreDocument:
-        """``doc`` with the pending slides folded in."""
-        with self._slide_lock:
-            slides = dict(self._slides)
-        return sessions.fold_slides(doc, slides)
-
-    def _commit(self, doc: StoreDocument | None, entries: tuple[AuditEntry, ...], now: datetime) -> None:
-        """The writer path, called under the writer lock: append ``entries``,
-        then prune, save and publish ``doc`` unless it is None, and forget
-        the slides it now carries.  A save holds the store lock the CLI's
-        writing commands take, from the check that the store file is as this
-        instance last read or wrote it until the new file is stamped; a file
-        that changed is not overwritten."""
-        saving = doc is not None and self.store_path is not None
-        with store_lock(self.store_path) if saving else contextlib.nullcontext():
-            if saving and _generation(self.store_path) != self._generation:
-                raise StoreChanged(
-                    f"store {self.store_path} changed on disk since this process last read or wrote it; "
-                    "nothing was saved"
-                )
-            for entry in entries:
-                self.audit.append(entry, now)
-            if doc is None:
-                return
-            doc = sessions.prune_expired_sessions(doc, now)
-            if saving:
-                save(doc, self.store_path)
-                self._generation = _generation(self.store_path)
-        self._doc = doc
-        stored = {s.token: s.expires_at for s in doc.sessions}
-        with self._slide_lock:
-            self._slides = {t: e for t, e in self._slides.items() if e > stored.get(t, e)}
-
     def persist_slides(self) -> None:
         """Save the expiries resolves slid in memory; nothing when none is
         pending.  ``serve`` calls this once on shutdown."""
-        now = self.clock()
-        with self._write_lock:
-            doc = self._slid(self._doc)
-            if doc is not self._doc:
-                self._commit(doc, (), now)
+        self._apply(lambda doc, now: (doc, None, ()))
 
     # -- user directory ------------------------------------------------------
 
@@ -327,16 +315,12 @@ class Gatekeeper:
         )
 
     def resolve(self, token: str) -> Principal:
-        """The principal of a live bearer token.  Reads the published snapshot
-        without the writer lock and keeps the slid expiry in memory; a dead
-        token goes through the writer path, which drops its session."""
+        """The principal of a live bearer token; InvalidToken for a dead one.
+        Reads the published snapshot without the writer lock, writes nothing,
+        and keeps the slid expiry in memory."""
         with self._slide_lock:
             slid = self._slides.get(token)
-        _, outcome, _ = sessions.resolve(self._doc, token, now=self.clock(), slid=slid)
-        if isinstance(outcome, InvalidToken):
-            # The rule runs again on the snapshot current under the lock.
-            outcome = self._apply(lambda doc, now: sessions.resolve(doc, token, now=now))
-        principal, slide = outcome
+        principal, slide = sessions.resolve(self._doc, token, now=self.clock(), slid=slid)
         if slide is not None:
             with self._slide_lock:  # a concurrent resolve may have recorded a later slide
                 self._slides[token] = max(slide, self._slides.get(token, slide))

@@ -210,7 +210,8 @@ def update_user(
     disabling the last active administrator (either would orphan the
     store).  Assigning a role to a pending self-registration activates the
     account; pending itself arises only from self-registration and cannot be
-    assigned.  Enabling an account also clears any recovery lockout.
+    assigned.  Enabling an account clears any recovery lockout; disabling
+    one ends every session of the user.
     """
     if role is None and status is None:
         raise InvalidArgument("provide 'role' and/or 'status'")
@@ -242,7 +243,10 @@ def update_user(
         entries += (AuditEntry(actor=actor.user_id, kind="status_changed", detail=detail),)
         failures = 0 if status is UserStatus.ACTIVE else updated.recovery_failures
         updated = replace(updated, status=status, recovery_failures=failures)
-    return replace_user(doc, updated), updated, entries
+    new_doc = replace_user(doc, updated)
+    if status is UserStatus.DISABLED:
+        new_doc = replace(new_doc, sessions=tuple(s for s in doc.sessions if s.user_id != target.user_id))
+    return new_doc, updated, entries
 
 
 # The single-field forms serve the CLI, and bench/tracer.py patches these

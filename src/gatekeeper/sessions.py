@@ -8,13 +8,13 @@ copy: the user's current role and status are re-resolved on every use, so
 role changes and disables take effect immediately.
 
 Operations follow the same snapshot-in, snapshot-out convention as the
-directory module.  Flows that must both change state and fail return the
-error as the outcome value alongside the new snapshot, and the calling shell
-raises it after committing: a hint mismatch increments the failure counter,
-and a token that is unknown, expired, or whose user is missing or disabled
-has its session (if any) dropped before InvalidToken is raised.  A
-successful resolve changes no snapshot: the shell keeps the slid expiry in
-memory and folds it into the next snapshot it commits.
+directory module.  A hint mismatch must both change state and fail: it
+returns the error as the outcome beside the snapshot with its counter
+advanced, and the calling shell raises it after committing.  A resolve only
+reads: the shell keeps the slid expiry in memory and folds it into the next
+snapshot it commits.  A session leaves the store in the commit that ends it
+(logout, password change, recovery, or disabling its user), or, once
+expired, in the prune that runs before every save.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .credentials import (
     verify_secret,
 )
 from .directory import MutationResult, check_password_strength
-from .engine import principal_for
+from .engine import Principal, principal_for
 from .errors import (
     AuthFailed,
     HintMismatch,
@@ -104,19 +104,14 @@ def _login_failed(user_id: str, cause: str) -> AuditEntry:
     return AuditEntry(actor="anonymous", kind="login_failed", detail={"user_id": user_id, "cause": cause})
 
 
-def _drop_session(doc: StoreDocument, token: str) -> StoreDocument:
-    """``doc`` without the session of ``token``; ``doc`` itself if it has none."""
-    kept = tuple(s for s in doc.sessions if s.token != token)
-    return doc if len(kept) == len(doc.sessions) else replace(doc, sessions=kept)
-
-
 def _locate(
     doc: StoreDocument, token: str, now: datetime, slid: datetime | None = None
 ) -> tuple[Session, UserRecord, datetime] | None:
     """The live session of ``token``, its user and its effective expiry, or
     None when the token is unknown or expired, or its user is missing or
-    disabled.  The effective expiry is the later of the stored one and
-    ``slid``, an expiry an earlier resolve recorded outside the snapshot."""
+    disabled (an older store may hold such a session).  The effective expiry
+    is the later of the stored one and ``slid``, an expiry an earlier resolve
+    recorded outside the snapshot."""
     session = find_session(doc, token)
     if session is None:
         return None
@@ -129,23 +124,24 @@ def _locate(
     return session, user, expires_at
 
 
-def resolve(doc: StoreDocument, token: str, *, now: datetime, slid: datetime | None = None) -> MutationResult:
-    """Resolve a token to a principal carrying the user's current role and
-    status.
+def resolve(
+    doc: StoreDocument, token: str, *, now: datetime, slid: datetime | None = None
+) -> tuple[Principal, datetime | None]:
+    """Resolve a live token to a principal carrying the user's current role
+    and status; raise InvalidToken for a dead one.
 
     A live session slides to now + TTL, but never backwards, so a clock
     stepped back cannot leave a session expiring before it was issued.  The
-    snapshot is left as it is: the outcome is the principal and the slid
-    expiry, or None in its place when the stored expiry is already as late,
-    for the caller to keep until the next commit folds it in (see
-    :func:`fold_slides`).  A dead token's session is dropped instead.
+    snapshot is only read: the slid expiry comes back beside the principal,
+    or None when the stored expiry is already as late, for the caller to
+    keep until the next commit folds it in (see :func:`fold_slides`).
     """
     located = _locate(doc, token, now, slid)
     if located is None:
-        return _drop_session(doc, token), InvalidToken(), ()
+        raise InvalidToken()
     session, user, expires_at = located
     slide = max(expires_at, _expiry(doc, now))
-    return None, (principal_for(user), slide if slide > session.expires_at else None), ()
+    return principal_for(user), slide if slide > session.expires_at else None
 
 
 def fold_slides(doc: StoreDocument, slides: Mapping[str, datetime]) -> StoreDocument:
@@ -166,7 +162,7 @@ def logout(doc: StoreDocument, token: str) -> MutationResult:
     if session is None:
         return None, None, ()
     entry = AuditEntry(actor=session.user_id, kind="logged_out", detail={"user_id": session.user_id})
-    return _drop_session(doc, token), None, (entry,)
+    return replace(doc, sessions=tuple(s for s in doc.sessions if s.token != token)), None, (entry,)
 
 
 def change_password(
@@ -185,7 +181,7 @@ def change_password(
     """
     located = _locate(doc, token, now)
     if located is None:
-        return _drop_session(doc, token), InvalidToken(), ()
+        raise InvalidToken()
     _, user, _ = located
     if not doc.config.allow_self_password_change:
         raise PolicyForbidden()

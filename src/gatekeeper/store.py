@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .credentials import digest_from_wire, digest_to_wire
 from .errors import (
@@ -289,8 +289,9 @@ def document_from_wire(data) -> StoreDocument:
     """Decode a parsed JSON value into a document.
 
     Raises UnsupportedVersion for unknown version numbers and
-    ValidationFailure for any other shape problem; never leaks bare
-    KeyError/TypeError/ValueError, so corrupt bytes fail cleanly.
+    ValidationFailure, naming the record, for any other shape problem: the
+    field decoders and ``_from_wire`` turn every refusal into one, so corrupt
+    bytes fail cleanly.
     """
     top = _want_object(data, "document")
     version = top.get("version")
@@ -301,19 +302,14 @@ def document_from_wire(data) -> StoreDocument:
     unknown = set(top) - {"version", "config", *_RECORD_LISTS}
     if unknown:
         raise _fail("document", f"unknown top-level keys: {sorted(unknown)}")
-    try:
-        config = _from_wire(PolicyConfig, top.get("config"), "config")
-        records = {}
-        for key, record_type in _RECORD_LISTS.items():
-            items = top.get(key)
-            if not isinstance(items, list):
-                raise _fail(key, "expected a list")
-            records[key] = tuple(_from_wire(record_type, obj, f"{key}[{i}]") for i, obj in enumerate(items))
-        return StoreDocument(config=config, **records)
-    except (ValidationFailure, UnsupportedVersion):
-        raise
-    except Exception as exc:  # a safety net for outside input
-        raise ValidationFailure(str(exc)) from None
+    config = _from_wire(PolicyConfig, top.get("config"), "config")
+    records = {}
+    for key, record_type in _RECORD_LISTS.items():
+        items = top.get(key)
+        if not isinstance(items, list):
+            raise _fail(key, "expected a list")
+        records[key] = tuple(_from_wire(record_type, obj, f"{key}[{i}]") for i, obj in enumerate(items))
+    return StoreDocument(config=config, **records)
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +497,17 @@ def _last_seq(lines: list[bytes]) -> int:
 class AuditLog:
     """Append-only log of sorted-key JSON lines, one per event, with strictly
     increasing sequence numbers; a line that does not decode is skipped.
-    Subclasses keep the lines: ``_lines()`` returns them, ``_write`` adds one."""
+    Subclasses keep the lines: ``_lines()`` returns them, and ``_appending()``
+    holds the log for one append, brings ``_next_seq`` up to date, and yields
+    a writer of one line."""
 
-    def __init__(self):
-        self._next_seq = _last_seq(self._lines()) + 1
+    _next_seq = 1
 
     def append(self, entry: AuditEntry, at: datetime) -> AuditEvent:
-        event = AuditEvent(seq=self._next_seq, at=at, actor=entry.actor, kind=entry.kind, detail=dict(entry.detail))
-        self._write(json.dumps(to_wire(event), sort_keys=True).encode("utf-8"))
-        self._next_seq += 1
+        with self._appending() as write:
+            event = AuditEvent(seq=self._next_seq, at=at, actor=entry.actor, kind=entry.kind, detail=dict(entry.detail))
+            write(json.dumps(to_wire(event), sort_keys=True).encode("utf-8"))
+            self._next_seq += 1
         return event
 
     def events(self) -> list[AuditEvent]:
@@ -550,22 +548,24 @@ class MemoryAuditLog(AuditLog):
 
     def __init__(self):
         self._stored: list[bytes] = []
-        super().__init__()
 
     def _lines(self) -> list[bytes]:
         return self._stored
 
-    def _write(self, line: bytes) -> None:
-        self._stored.append(line)
+    def _appending(self):
+        return contextlib.nullcontext(self._stored.append)
 
 
 class FileAuditLog(AuditLog):
     """Each append is flushed and fsynced before returning, so the log is
-    written ahead of the snapshot it describes.  A missing file has no lines."""
+    written ahead of the snapshot it describes.  A missing file has no lines.
+    An append holds the file's advisory lock, and numbers its line from the
+    file again when the file's size is not what this log's last append left,
+    so processes sharing the file never reuse a number."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        super().__init__()
+        self._size: int | None = None  # the file's size after this log's last append
 
     def _lines(self) -> list[bytes]:
         try:
@@ -575,17 +575,21 @@ class FileAuditLog(AuditLog):
         except OSError as exc:
             raise IoFailure(f"cannot read audit log {self.path}: {exc}") from exc
 
-    def _write(self, line: bytes) -> None:
+    @contextlib.contextmanager
+    def _appending(self) -> Iterator[Callable[[bytes], object]]:
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a+b") as handle:
-                # A torn tail from a crash must not glue onto the new line.
-                if handle.tell() > 0:
-                    handle.seek(-1, os.SEEK_END)
-                    if handle.read(1) != b"\n":
-                        handle.write(b"\n")
-                handle.write(line + b"\n")
+                fcntl.flock(handle, fcntl.LOCK_EX)  # released when the file closes
+                if os.fstat(handle.fileno()).st_size != self._size:
+                    handle.seek(0)
+                    lines = handle.read().splitlines(keepends=True)
+                    self._next_seq = _last_seq(lines) + 1
+                    if lines and not lines[-1].endswith(b"\n"):
+                        handle.write(b"\n")  # a torn tail from a crash must not glue onto the new line
+                yield lambda line: handle.write(line + b"\n")
                 handle.flush()
                 os.fsync(handle.fileno())
+                self._size = handle.tell()
         except OSError as exc:
             raise IoFailure(f"cannot append to audit log {self.path}: {exc}") from exc

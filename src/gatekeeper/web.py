@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -363,8 +364,14 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _Server(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        if not isinstance(sys.exc_info()[1], ConnectionError):  # a client's reset is routine, not a fault
+            super().handle_error(request, client_address)
+
+
 def make_server(gatekeeper: Gatekeeper, host: str, port: int) -> ThreadingHTTPServer:
     """A threading HTTP server bound to host:port, ready for serve_forever."""
     service = PolicyService(gatekeeper)
     handler = type("GatekeeperHandler", (_Handler,), {"service": service})
-    return ThreadingHTTPServer((host, port), handler)
+    return _Server((host, port), handler)

@@ -632,6 +632,16 @@ class TestLostUpdates:
         assert not gk.check(ANONYMOUS, "rep", AccessLevel.READ).allowed  # appends, saves nothing
         assert gk.audit_events()[-1].kind == "access_denied"
 
+    def test_a_denial_after_a_cli_write_takes_the_next_seq(self, booted):
+        add = ["resource", "add", "rep", "--class", "managerial", "--group", "manager-reports"]
+        assert run(admin_args(add), booted)[0] == 0
+        gk = Gatekeeper.open(booted["GATEKEEPER_STORE"], digest_cost=4)
+        assert run(admin_args(["user", "add", "alice", "--role", "staff", "--password", "password1"]), booted)[0] == 0
+        assert not gk.check(ANONYMOUS, "rep", AccessLevel.READ).allowed
+        seqs = [e.seq for e in gk.audit_events()]
+        assert seqs == list(range(1, len(seqs) + 1))
+        assert gk.audit_events()[-1].kind == "access_denied"
+
 
 @contextlib.contextmanager
 def holding_store_lock(env):

@@ -118,11 +118,13 @@ class TestResolve:
         assert principal.user_id == "boss"
         assert principal.role is Role.MANAGER
 
-    def test_expired_token_rejected_and_pruned(self, populated, clock):
+    def test_expired_token_rejected_and_pruned(self, populated, clock, admin):
         session = populated.login("boss", "password1")
         clock.advance(seconds=populated.config.session_ttl_seconds + 1)
         with pytest.raises(InvalidToken):
             populated.resolve(session.token)
+        assert any(s.token == session.token for s in populated.snapshot.sessions)  # the resolve wrote nothing
+        populated.set_role(admin, "staffer", Role.MANAGER)
         assert all(s.token != session.token for s in populated.snapshot.sessions)
 
     def test_expiry_boundary_still_valid(self, populated, clock):
@@ -181,13 +183,17 @@ class TestResolve:
             gk.resolve("no-such-token")
         assert saves == []
 
-    def test_disabled_users_session_is_dropped_on_resolve(self, populated, admin):
-        session = populated.login("staffer", "password1")
-        populated.set_status(admin, "staffer", UserStatus.DISABLED)
-        assert any(s.token == session.token for s in populated.snapshot.sessions)
-        with pytest.raises(InvalidToken):
-            populated.resolve(session.token)
-        assert all(s.token != session.token for s in populated.snapshot.sessions)
+    def test_disabled_users_sessions_are_dropped_by_the_disabling_commit(self, tmp_path, clock):
+        gk, session = file_backed(tmp_path, clock)
+        other = gk.login("staffer", "password1")
+        root = gk.login("root", "rootpass1")
+        gk.set_status(gk.principal_for("root"), "staffer", UserStatus.DISABLED)
+        for doc in (gk.snapshot, load(gk.store_path)):
+            assert [s.token for s in doc.sessions] == [root.token]
+        gk.set_status(gk.principal_for("root"), "staffer", UserStatus.ACTIVE)
+        for token in (session.token, other.token):
+            with pytest.raises(InvalidToken):
+                gk.resolve(token)
 
 
 def file_backed(tmp_path, clock):
@@ -248,20 +254,33 @@ class TestSlideInMemory:
         gk.change_password(session.token, "password1", "password2")
         assert gk.resolve(session.token).user_id == "staffer"
 
-    def test_a_live_resolve_does_not_wait_for_the_writer_lock(self, tmp_path, clock):
+    @pytest.mark.parametrize("token", ["live", "expired", "unknown"])
+    def test_a_resolve_does_not_wait_for_the_writer_lock(self, tmp_path, clock, token):
         gk, session = file_backed(tmp_path, clock)
         clock.advance(seconds=gk.config.session_ttl_seconds - 10)
         gk.resolve(session.token)
         clock.advance(seconds=20)  # live only through the slide held in memory
+        if token == "expired":
+            clock.advance(seconds=gk.config.session_ttl_seconds)
+        presented = "no-such-token" if token == "unknown" else session.token
+        before = gk.store_path.read_bytes(), gk.audit.path.read_bytes()
+
+        def attempt():
+            try:
+                resolved.append(gk.resolve(presented).user_id)
+            except InvalidToken:
+                resolved.append("refused")
+
         resolved = []
         with gk._write_lock:
-            reader = threading.Thread(target=lambda: resolved.append(gk.resolve(session.token).user_id))
+            reader = threading.Thread(target=attempt)
             reader.start()
             reader.join(timeout=5)
             finished = not reader.is_alive()
         reader.join()
         assert finished
-        assert resolved == ["staffer"]
+        assert resolved == ["staffer" if token == "live" else "refused"]
+        assert (gk.store_path.read_bytes(), gk.audit.path.read_bytes()) == before
 
     def test_an_unknown_token_with_a_pending_slide_saves_nothing(self, tmp_path, clock, monkeypatch):
         import gatekeeper.app as app
@@ -282,11 +301,11 @@ class TestSlideInMemory:
         ttl = timedelta(seconds=populated.config.session_ttl_seconds)
         doc, now = populated.snapshot, clock()
         later = session.expires_at + timedelta(minutes=10)
-        assert sessions.resolve(doc, session.token, now=now, slid=later)[1][1] == later
-        assert sessions.resolve(doc, session.token, now=now, slid=None)[1][1] is None  # stored is as late
-        assert sessions.resolve(doc, session.token, now=now + ttl, slid=later)[1][1] == now + 2 * ttl
-        _, outcome, _ = sessions.resolve(doc, session.token, now=later + timedelta(seconds=1), slid=later)
-        assert isinstance(outcome, InvalidToken)
+        assert sessions.resolve(doc, session.token, now=now, slid=later)[1] == later
+        assert sessions.resolve(doc, session.token, now=now, slid=None)[1] is None  # stored is as late
+        assert sessions.resolve(doc, session.token, now=now + ttl, slid=later)[1] == now + 2 * ttl
+        with pytest.raises(InvalidToken):
+            sessions.resolve(doc, session.token, now=later + timedelta(seconds=1), slid=later)
 
     def test_an_expired_slide_is_invalid_and_dropped(self, tmp_path, clock):
         gk, session = file_backed(tmp_path, clock)
@@ -296,6 +315,8 @@ class TestSlideInMemory:
         clock.advance(seconds=ttl + 1)
         with pytest.raises(InvalidToken):
             gk.resolve(session.token)
+        assert any(s.token == session.token for s in load(gk.store_path).sessions)  # the resolve wrote nothing
+        gk.create_user(gk.principal_for("root"), "newbie", "password1", Role.GUEST)
         assert all(s.token != session.token for s in load(gk.store_path).sessions)
         assert session.token not in gk._slides
 
@@ -632,10 +653,11 @@ def test_session_directory_state_machine():
 
 class SlidingSessionMachine(RuleBasedStateMachine):
     """Logins, resolves, logouts, commits, clock moves and restarts against a
-    model of each token's expiry: the effective one (slides included) and the
-    saved one.  After every step each token resolves exactly when the model
-    says it is live.  A restart after the shutdown flush keeps every slide; a
-    crash keeps only what the last commit saved, so sessions expire earlier."""
+    model of each stored token's expiry: the effective one (slides included)
+    and the saved one.  After every step each token resolves exactly when the
+    model says it is live.  A refused token stays stored until a commit
+    prunes it.  A restart after the shutdown flush keeps every slide; a crash
+    keeps only what the last commit saved, so sessions expire earlier."""
 
     def __init__(self):
         super().__init__()
@@ -655,6 +677,10 @@ class SlidingSessionMachine(RuleBasedStateMachine):
         self.workdir.cleanup()
 
     def _committed(self):
+        now = self.clock()
+        for token in [t for t, expires_at in self.effective.items() if now > expires_at]:
+            del self.effective[token]  # pruned by the save
+            self.dead.add(token)
         self.saved = dict(self.effective)
 
     def _reopen(self):
@@ -691,7 +717,8 @@ class SlidingSessionMachine(RuleBasedStateMachine):
     @rule()
     def restart(self):
         self.gk.persist_slides()
-        self._committed()
+        if self.effective != self.saved:  # the flush saves only when a slide is pending
+            self._committed()
         self._reopen()
 
     @rule()
@@ -708,18 +735,14 @@ class SlidingSessionMachine(RuleBasedStateMachine):
                 self.effective[token] = max(self.effective[token], now + self.ttl)
                 continue
             with pytest.raises(InvalidToken):
-                self.gk.resolve(token)
-            del self.effective[token]
-            self._committed()  # the dead session was dropped by a commit
-            self.dead.add(token)
+                self.gk.resolve(token)  # the session stays stored until a commit prunes it
         for token in self.dead:
             with pytest.raises(InvalidToken):
                 self.gk.resolve(token)
 
     @invariant()
     def the_store_holds_what_the_last_commit_saved(self):
-        stored = {s.token: s.expires_at for s in load(self.path).sessions}
-        assert {token: stored.get(token) for token in self.saved} == self.saved
+        assert {s.token: s.expires_at for s in load(self.path).sessions} == self.saved
 
 
 def test_sliding_session_state_machine():

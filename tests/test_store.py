@@ -8,6 +8,8 @@ import json
 import os
 import random
 import shutil
+import sys
+import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -517,6 +519,47 @@ class TestV1Format:
         assert excinfo.value.message == message
 
 
+# Each record's identifying field: a store-wide refusal names the record by it.
+_ID_KEYS = {"users": "user_id", "grants": "grant_id", "resources": "resource_id", "sessions": "user_id"}
+
+
+def _field_sweep():
+    """(location, field, value) for every field of every record in the v1
+    store: each key deleted, and set to one value of every JSON type."""
+    wire = json.loads((DATA / "store_v1.json").read_text())
+    records = [("config", wire["config"])]
+    records += [(f"{key}[{i}]", record) for key in _ID_KEYS for i, record in enumerate(wire[key])]
+    for where, record in records:
+        for field in record:
+            for value in (_ABSENT, None, True, 7, 1.5, "x", [], {}):
+                yield where, field, value
+
+
+class TestCorruptFieldSweep:
+    def test_every_corrupt_field_is_refused_cleanly_and_names_its_record(self):
+        original = json.loads((DATA / "store_v1.json").read_text())
+        cases = 0
+        for where, field, value in _field_sweep():
+            wire = json.loads(json.dumps(original))
+            key, _, index = where.partition("[")
+            record = wire[key][int(index[:-1])] if index else wire[key]
+            names = {where}
+            if key in _ID_KEYS:
+                names.add(f"'{record[_ID_KEYS[key]]}'")
+            if isinstance(value, str):
+                names.add(f"'{value}'")
+            if value is _ABSENT:
+                del record[field]
+            else:
+                record[field] = value
+            cases += 1
+            try:
+                loads(json.dumps(wire).encode())
+            except (ValidationFailure, UnsupportedVersion, ParseFailure) as exc:
+                assert any(name in exc.message for name in names), (where, field, value, exc.message)
+        assert cases == 840
+
+
 class TestFuzzedLoader:
     def test_byte_mutants_never_crash(self):
         rng = random.Random(99)
@@ -675,6 +718,46 @@ class TestAuditLog:
         log = FileAuditLog(path)
         assert [e.seq for e in log.events()] == [1, 2, 3, 4, 5, 6]
         assert log.append(AuditEntry("root", "b", {}), NOW).seq == 7
+
+    def test_an_append_reads_the_file_again_only_after_another_writer(self, tmp_path, monkeypatch):
+        import gatekeeper.store as store
+
+        path = tmp_path / "x.audit.jsonl"
+        shutil.copyfile(DATA / "audit_v1.jsonl", path)
+        reads, real_last_seq = [], store._last_seq
+        monkeypatch.setattr(store, "_last_seq", lambda lines: reads.append(len(lines)) or real_last_seq(lines))
+        log = FileAuditLog(path)
+        assert [log.append(AuditEntry("root", "a", {}), NOW).seq for _ in range(3)] == [7, 8, 9]
+        assert FileAuditLog(path).append(AuditEntry("other", "b", {}), NOW).seq == 10
+        assert log.append(AuditEntry("root", "c", {}), NOW).seq == 11
+        assert reads == [6, 9, 10]  # the first append of each log, then after the other's append
+
+    def test_concurrent_appends_from_many_logs_never_reuse_a_seq(self, tmp_path):
+        path = tmp_path / "x.audit.jsonl"
+        shared = FileAuditLog(path)
+        logs = [shared, shared, FileAuditLog(path), FileAuditLog(path), FileAuditLog(path)]
+        errors = []
+
+        def appender(log, n):
+            try:
+                for i in range(20):
+                    log.append(AuditEntry(f"writer{n}", "x", {"i": str(i)}), NOW)
+            except Exception as exc:  # reported below; a thread's exception is otherwise lost
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=appender, args=(log, n)) for n, log in enumerate(logs)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert [e.seq for e in FileAuditLog(path).events()] == list(range(1, 101))
 
     def test_opening_a_file_log_decodes_no_event(self, tmp_path, monkeypatch):
         import gatekeeper.store as store

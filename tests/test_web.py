@@ -5,14 +5,18 @@ from __future__ import annotations
 import contextlib
 import json
 import socket
+import struct
 import threading
 import time
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
 from gatekeeper import errors, web
-from gatekeeper.model import AccessLevel, PolicyConfig, Role, SelfRegistrationMode, UserStatus
+from gatekeeper.app import Gatekeeper
+from gatekeeper.model import AccessLevel, PolicyConfig, Role, SelfRegistrationMode, UserStatus, find_user, replace_user
+from gatekeeper.store import audit_path_for, save
 from gatekeeper.web import MAX_BODY_BYTES, HttpRequest, PolicyService, make_server
 from gatekeeper.wire import decision_wire
 
@@ -420,8 +424,36 @@ class TestSessionLifecycleOverHttp:
     def test_disable_kills_live_token(self, service):
         admin_token = login(service, "root", "rootpass1")
         staff_token = login(service, "staffer", "password1")
+        unpresented = login(service, "staffer", "password1")
         call(service, "PATCH", "/api/admin/users/staffer", token=admin_token, body={"status": "disabled"})
         assert call(service, "GET", "/api/menu", token=staff_token).status == 401
+        call(service, "PATCH", "/api/admin/users/staffer", token=admin_token, body={"status": "active"})
+        for token in (staff_token, unpresented):  # the disable ended both sessions
+            assert call(service, "GET", "/api/menu", token=token).status == 401
+
+    def test_every_dead_token_is_the_same_401_and_writes_nothing(self, tmp_path):
+        clock = FakeClock()
+        path = tmp_path / "store.json"
+        gk = Gatekeeper.bootstrap("root", "rootpass1", store_path=path, clock=clock, digest_cost=FAST_COST).gatekeeper
+        for user_id in ("staffer", "leaver"):
+            gk.create_user(gk.principal_for("root"), user_id, "password1", Role.STAFF)
+        expired = gk.login("staffer", "password1").token
+        clock.advance(seconds=gk.config.session_ttl_seconds - 10)
+        disabled = gk.login("leaver", "password1").token
+        clock.advance(seconds=20)
+        # A store written before disabling a user dropped their sessions.
+        leaver = replace(find_user(gk.snapshot, "leaver"), status=UserStatus.DISABLED)
+        save(replace_user(gk.snapshot, leaver), path)
+        service = PolicyService(Gatekeeper.open(path, clock=clock, digest_cost=FAST_COST))
+        before = path.read_bytes(), audit_path_for(path).read_bytes()
+        replies = {
+            (r.status, tuple(sorted(r.headers.items())), r.body)
+            for r in (call(service, "GET", "/api/menu", token=t) for t in ("made-up", expired, disabled))
+        }
+        assert len(replies) == 1
+        status, _, body = replies.pop()
+        assert (status, json.loads(body)["error"]) == (401, "invalid_token")
+        assert (path.read_bytes(), audit_path_for(path).read_bytes()) == before
 
 
 class TestRouting:
@@ -604,6 +636,11 @@ def exchange(port: int, request: bytes) -> bytes:
     return reply
 
 
+def _content_length(reply: bytes) -> int:
+    head, _ = split_reply(reply)
+    return int(next(line.split(b":")[1] for line in head.lower().splitlines() if line.startswith(b"content-length:")))
+
+
 def split_reply(reply: bytes) -> tuple[bytes, bytes]:
     """(head, body) of a reply; an HTTP/0.9-style reply is all body."""
     if not reply.startswith(b"HTTP/"):
@@ -690,6 +727,29 @@ class TestLiveServer:
         assert head.split()[1] == b"501"
         assert b"content-type: application/json" in head.lower()
         assert body == b""
+
+    def test_a_client_reset_prints_no_traceback(self, populated, capsys):
+        def handlers():
+            return {t for t in threading.enumerate() if "process_request_thread" in t.name}
+
+        earlier = handlers()
+        with serving(populated) as port:
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                sock.sendall(b"GET /api/menu HTTP/1.1\r\nHost: localhost\r\n\r\n")
+                reply = b""
+                while b"\r\n\r\n" not in reply or len(split_reply(reply)[1]) < _content_length(reply):
+                    chunk = sock.recv(65536)
+                    assert chunk, "the server closed the connection before its answer ended"
+                    reply += chunk
+                assert reply.split()[1] == b"200"
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))  # close with a reset
+            head, _ = split_reply(exchange(port, b"GET /api/menu HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"))
+            assert head.split()[1] == b"200"
+            deadline = time.monotonic() + 5
+            while handlers() - earlier and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert not handlers() - earlier
+        assert capsys.readouterr().err == ""
 
     def test_stalled_request_is_closed_after_the_idle_timeout(self, populated, monkeypatch):
         assert web._Handler.timeout == web.IDLE_TIMEOUT_S  # the stdlib default, None, waits forever
