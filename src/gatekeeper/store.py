@@ -494,6 +494,14 @@ def _last_seq(lines: list[bytes]) -> int:
     return 0
 
 
+def _decode_event(line: bytes) -> AuditEvent | None:
+    """The event a log line holds, or None for a line that does not decode."""
+    try:
+        return _from_wire(AuditEvent, json.loads(line.decode("utf-8")), "audit event")
+    except (ValueError, RecursionError, GatekeeperError):
+        return None
+
+
 class AuditLog:
     """Append-only log of sorted-key JSON lines, one per event, with strictly
     increasing sequence numbers; a line that does not decode is skipped.
@@ -511,13 +519,7 @@ class AuditLog:
         return event
 
     def events(self) -> list[AuditEvent]:
-        out: list[AuditEvent] = []
-        for line in self._lines():
-            try:
-                out.append(_from_wire(AuditEvent, json.loads(line.decode("utf-8")), "audit event"))
-            except (ValueError, RecursionError, GatekeeperError):
-                continue
-        return out
+        return [event for event in map(_decode_event, self._lines()) if event is not None]
 
     def query(
         self,
@@ -529,17 +531,22 @@ class AuditLog:
         limit: int | None = None,
     ) -> list[AuditEvent]:
         """Events in sequence order, optionally filtered; ``limit`` keeps the
-        most recent matches."""
-        selected = [
-            e
-            for e in self.events()
-            if (kind is None or e.kind == kind)
-            and (actor is None or e.actor == actor)
-            and (since is None or e.at >= since)
-            and (until is None or e.at <= until)
-        ]
-        if limit is not None and limit >= 0:
-            selected = selected[-limit:] if limit else []
+        most recent matches.  The lines are read newest first and decoded one
+        at a time, so a limited query stops once it has its matches."""
+        selected: list[AuditEvent] = []
+        for line in reversed(self._lines()):
+            if len(selected) == limit:
+                break
+            e = _decode_event(line)
+            if (
+                e is not None
+                and (kind is None or e.kind == kind)
+                and (actor is None or e.actor == actor)
+                and (since is None or e.at >= since)
+                and (until is None or e.at <= until)
+            ):
+                selected.append(e)
+        selected.reverse()
         return selected
 
 

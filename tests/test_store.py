@@ -14,6 +14,8 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatekeeper.app import Gatekeeper
 from gatekeeper.errors import (
@@ -770,6 +772,85 @@ class TestAuditLog:
 
         monkeypatch.setattr(store, "_from_wire", refuse)
         assert FileAuditLog(path).append(AuditEntry("root", "b", {}), NOW).seq == 7
+
+
+_INSTANTS = [PAST, NOW, FUTURE]
+_UNDECODABLE = [
+    b"not json",
+    b"\xff\xfe",
+    b"[" * 50,
+    b'{"seq": 3}',
+    b'{"actor": "root", "at": "2026-06-02T00:00:00Z", "detail": {"n": 1}, "kind": "a", "seq": 4}',
+]
+
+
+@st.composite
+def audit_file_bytes(draw) -> bytes:
+    """A log file's bytes: encoded events mixed with lines that do not
+    decode, perhaps ending in a line torn mid-write."""
+    log = MemoryAuditLog()
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 4)) == 0:
+            log._stored.append(draw(st.sampled_from(_UNDECODABLE)))
+        else:
+            entry = AuditEntry(draw(st.sampled_from(["root", "ann"])), draw(st.sampled_from(["a", "b", "c"])), {})
+            log.append(entry, draw(st.sampled_from(_INSTANTS)))
+    content = b"".join(line + b"\n" for line in log._stored)
+    if content and draw(st.booleans()):
+        content = content[: -draw(st.integers(2, len(log._stored[-1])))]  # the torn tail has no newline
+    return content
+
+
+class TestNewestFirstQuery:
+    """``query`` reads the log from its newest line; it must answer exactly as
+    filtering every event in order and keeping the last ``limit`` would."""
+
+    @staticmethod
+    def whole_log_query(log, kind, actor, since, until, limit):
+        selected = [
+            e
+            for e in log.events()
+            if (kind is None or e.kind == kind)
+            and (actor is None or e.actor == actor)
+            and (since is None or e.at >= since)
+            and (until is None or e.at <= until)
+        ]
+        if limit is not None and limit >= 0:
+            selected = selected[-limit:] if limit else []
+        return selected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        content=audit_file_bytes(),
+        backend=st.sampled_from(["memory", "file"]),
+        kind=st.sampled_from([None, "a", "b", "c", "z"]),
+        actor=st.sampled_from([None, "root", "ann"]),
+        since=st.sampled_from([None, *_INSTANTS]),
+        until=st.sampled_from([None, *_INSTANTS]),
+        limit=st.one_of(st.none(), st.integers(-2, 40)),
+    )
+    def test_matches_filtering_the_whole_log(self, tmp_path_factory, content, backend, kind, actor, since, until, limit):
+        if backend == "memory":
+            log = MemoryAuditLog()
+            log._stored.extend(content.splitlines())
+        else:
+            path = tmp_path_factory.getbasetemp() / "differential.audit.jsonl"
+            path.write_bytes(content)
+            log = FileAuditLog(path)
+        got = log.query(kind=kind, actor=actor, since=since, until=until, limit=limit)
+        assert got == self.whole_log_query(log, kind, actor, since, until, limit)
+
+    def test_a_limited_query_decodes_only_the_lines_it_needs(self, monkeypatch):
+        import gatekeeper.store as store
+
+        log = MemoryAuditLog()
+        for i in range(100):
+            log.append(AuditEntry("root", "ab"[i % 2], {}), NOW)
+        decoded = []
+        real = store._decode_event
+        monkeypatch.setattr(store, "_decode_event", lambda line: decoded.append(line) or real(line))
+        assert [e.seq for e in log.query(kind="a", limit=3)] == [95, 97, 99]
+        assert len(decoded) == 6
 
 
 class TestAuditRoundTripAllKinds:

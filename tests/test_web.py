@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
 import socket
+import statistics
 import struct
 import threading
 import time
@@ -750,6 +752,31 @@ class TestLiveServer:
                 time.sleep(0.01)
         assert not handlers() - earlier
         assert capsys.readouterr().err == ""
+
+    def test_keep_alive_round_trips_do_not_wait_for_a_delayed_ack(self, live_port):
+        # With Nagle's algorithm on, a body written after its headers waits for
+        # the client's delayed ACK: 40 ms or more per round trip on Linux.
+        connection = http.client.HTTPConnection("127.0.0.1", live_port, timeout=5)
+        timings = []
+
+        def round_trip(method, target, headers, body=None):
+            started = time.perf_counter()
+            connection.request(method, target, body=body, headers=headers)
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            timings.append(time.perf_counter() - started)
+            assert response.status == 200, payload
+            return payload
+
+        try:
+            credentials = json.dumps({"user_id": "boss", "password": "password1"})
+            for _ in range(5):
+                token = round_trip("POST", "/api/login", {"Content-Type": "application/json"}, credentials)["token"]
+            for _ in range(20):
+                round_trip("GET", "/api/check?resource=monthly-report&level=read", {"Authorization": f"Bearer {token}"})
+        finally:
+            connection.close()
+        assert statistics.median(timings) < 0.020
 
     def test_stalled_request_is_closed_after_the_idle_timeout(self, populated, monkeypatch):
         assert web._Handler.timeout == web.IDLE_TIMEOUT_S  # the stdlib default, None, waits forever

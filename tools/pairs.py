@@ -12,7 +12,9 @@ or only ``--workload``.  Pair ``i`` uses seed ``FIRST_SEED + i`` on both
 sides, and the side that runs first alternates.  The output, the next free
 ``BENCH_<n>.json`` in the checkout, holds the machine, both revisions, every
 run's metrics and ``fail_ratio``, and per side the median and the
-interquartile range (IQR) of each metric, plus how many pairs the change won.
+interquartile range (IQR) of each metric, plus the ratio of the medians, how
+many pairs the change won, and whether a metric moved the wrong way by more
+than its BENCHMARK.json ``bound``; one line per metric is printed as well.
 Exports live under ``.pairs_work/`` and are removed at the end.
 Standard library only.
 """
@@ -87,20 +89,47 @@ def _spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and IQR, and the pairs the change won."""
+def summarize(pairs: list[dict], rules: dict[str, dict]) -> dict:
+    """Per metric: each side's median and IQR, and ``ratio``, the change's
+    median over the base's.  For a metric with a rule (a BENCHMARK.json
+    ``end_to_end`` entry), also the pairs the change won and
+    ``beyond_bound``: whether the metric moved the wrong way by more than
+    the rule's ``bound``."""
     summary = {}
     for name in pairs[0]["base"]["metrics"]:
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         entry = {"base": _spread(base), "change": _spread(change)}
-        if name in better:
-            sign = 1 if better[name] == "higher" else -1
-            entry["better"] = better[name]
+        base_median = entry["base"]["median"]
+        entry["ratio"] = entry["change"]["median"] / base_median if base_median else None
+        if name in rules:
+            rule = rules[name]
+            sign = 1 if rule["better"] == "higher" else -1
+            entry["better"] = rule["better"]
             entry["change_won"] = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+            entry["beyond_bound"] = entry["ratio"] is not None and sign * (entry["ratio"] - 1) < -rule["bound"]
         summary[name] = entry
     summary["fail_ratio"] = {side: max(p[side]["fail_ratio"] for p in pairs) for side in ("base", "change")}
     return summary
+
+
+def report_lines(workload: str, summary: dict, pairs: int) -> list[str]:
+    """One line per metric: both medians, the ratio, the pairs won, and
+    whether the move is beyond its bound."""
+    lines = []
+    for name, entry in summary.items():
+        if name == "fail_ratio":
+            lines.append(f"{workload} fail_ratio: {entry['base']} -> {entry['change']}")
+            continue
+        ratio = "n/a" if entry["ratio"] is None else f"x{entry['ratio']:.3f}"
+        line = f"{workload} {name}: {entry['base']['median']:.4g} -> {entry['change']['median']:.4g} ({ratio}"
+        if "change_won" in entry:
+            line += f", won {entry['change_won']}/{pairs}"
+        line += ")"
+        if entry.get("beyond_bound"):
+            line += " BEYOND BOUND"
+        lines.append(line)
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -121,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         "change": _git("rev-parse", "HEAD").strip(),
     }
     seconds = bench["run_seconds"]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    rules = {m["name"]: m for m in bench["end_to_end"]}
     workloads = {}
     (ROOT / ".pairs_work").mkdir(exist_ok=True)
     work = Path(tempfile.mkdtemp(dir=ROOT / ".pairs_work"))
@@ -139,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                           f"ops_per_s {pair[side]['metrics'].get('ops_per_s')}", file=sys.stderr)
                 pairs.append(pair)
-            workloads[workload] = {"pairs": pairs, "summary": summarize(pairs, better)}
+            workloads[workload] = {"pairs": pairs, "summary": summarize(pairs, rules)}
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -149,6 +178,8 @@ def main(argv: list[str] | None = None) -> int:
     out = ROOT / f"BENCH_{n}.json"
     payload = {"machine": _machine(), **revisions, "seconds": seconds, "workloads": workloads}
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    for workload, result in workloads.items():
+        print("\n".join(report_lines(workload, result["summary"], len(result["pairs"]))))
     print(out)
     return 0
 
