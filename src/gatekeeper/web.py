@@ -359,9 +359,16 @@ class _Handler(BaseHTTPRequestHandler):
         for name, value in response.headers.items():
             self.send_header(name, value)
         self.send_header("Content-Length", str(len(response.body)))
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(response.body)
+        # One write per response.  The stdlib's end_headers() sends the header
+        # block on its own; with TCP_NODELAY the body then leaves in a second
+        # segment, and whether the client's first read finds both is a race
+        # that wakes it a second time on some responses and not on others.
+        head = b""
+        if self.request_version != "HTTP/0.9":  # an HTTP/0.9 answer is its body alone
+            head = b"".join(self._headers_buffer) + b"\r\n"
+        self._headers_buffer = []
+        body = response.body if self.command != "HEAD" else b""
+        self.wfile.write(head + body)
 
     def log_message(self, format, *args):  # noqa: A002 - BaseHTTPRequestHandler API
         pass

@@ -778,6 +778,28 @@ class TestLiveServer:
             connection.close()
         assert statistics.median(timings) < 0.020
 
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /api/menu HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n",
+            b"HEAD /api/menu HTTP/1.1\r\nHost: localhost\r\n\r\n",
+            b"GET /api/menu\r\n\r\n",
+        ],
+        ids=["answer", "refused-head", "http-0.9"],
+    )
+    def test_a_response_leaves_in_one_send(self, live_port, monkeypatch, request_bytes):
+        # Headers and body sent apart would reach the client as two segments.
+        sent = []
+        for name in ("send", "sendall"):
+            def counting(sock, data, *args, _original=getattr(socket.socket, name)):
+                if sock.getsockname()[1] == live_port:
+                    sent.append(bytes(data))
+                return _original(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, name, counting)
+        reply = exchange(live_port, request_bytes)
+        assert sent == [reply]
+
     def test_stalled_request_is_closed_after_the_idle_timeout(self, populated, monkeypatch):
         assert web._Handler.timeout == web.IDLE_TIMEOUT_S  # the stdlib default, None, waits forever
         monkeypatch.setattr(web._Handler, "timeout", 0.5)
