@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import directory, sessions
-from .credentials import DEFAULT_COST, generate_password
+from .credentials import generate_password
 from .engine import (
     Decision,
     MenuTree,
@@ -86,7 +86,6 @@ class Gatekeeper:
         *,
         store_path: str | Path | None = None,
         clock: Clock | None = None,
-        digest_cost: int = DEFAULT_COST,
         generation: tuple[int, int, int] | None = None,
     ):
         """``generation`` is the store file's stamp taken before ``document``
@@ -95,7 +94,6 @@ class Gatekeeper:
         self.store_path = Path(store_path) if store_path is not None else None
         self.audit = FileAuditLog(audit_path_for(self.store_path)) if self.store_path else MemoryAuditLog()
         self.clock = clock or system_clock
-        self.digest_cost = digest_cost
         self._write_lock = threading.Lock()
         # The store file as this instance last read or wrote it.
         self._generation = generation
@@ -116,7 +114,6 @@ class Gatekeeper:
         config: PolicyConfig | None = None,
         store_path: str | Path | None = None,
         clock: Clock | None = None,
-        digest_cost: int = DEFAULT_COST,
     ) -> BootstrapResult:
         """Create a fresh store holding its first administrator.
 
@@ -137,7 +134,7 @@ class Gatekeeper:
             directory.check_new_id(doc, admin_id)
             admin = directory.build_user_record(
                 admin_id, password, Role.ADMINISTRATOR, hint_question, hint_answer,
-                created_by="system", status=UserStatus.ACTIVE, now=now, digest_cost=digest_cost,
+                created_by="system", status=UserStatus.ACTIVE, now=now,
             )
             detail = {"user_id": admin_id, "role": "administrator"}
             entry = AuditEntry(actor="system", kind="user_created", detail=detail)
@@ -145,7 +142,7 @@ class Gatekeeper:
 
         # The empty starting snapshot is never saved: it holds no administrator.
         empty = StoreDocument(config=config or PolicyConfig())
-        gk = cls(empty, store_path=store_path, clock=clock, digest_cost=digest_cost)
+        gk = cls(empty, store_path=store_path, clock=clock)
         admin = gk._apply(add_first_admin)
         return BootstrapResult(gatekeeper=gk, admin=admin, password=password)
 
@@ -155,12 +152,10 @@ class Gatekeeper:
         store_path: str | Path,
         *,
         clock: Clock | None = None,
-        digest_cost: int = DEFAULT_COST,
     ) -> "Gatekeeper":
         # Stamped before the load: a save landing in between is refused later, not lost.
         generation = _generation(Path(store_path))
-        return cls(load(store_path), store_path=store_path, clock=clock, digest_cost=digest_cost,
-                   generation=generation)
+        return cls(load(store_path), store_path=store_path, clock=clock, generation=generation)
 
     # -- snapshot plumbing ---------------------------------------------------
 
@@ -240,8 +235,7 @@ class Gatekeeper:
     ) -> UserRecord:
         return self._apply(
             lambda doc, now: directory.create_user(
-                doc, actor, user_id, password, role, hint_question, hint_answer,
-                now=now, digest_cost=self.digest_cost,
+                doc, actor, user_id, password, role, hint_question, hint_answer, now=now
             )
         )
 
@@ -253,10 +247,7 @@ class Gatekeeper:
         hint_answer: str = "",
     ) -> UserRecord:
         return self._apply(
-            lambda doc, now: directory.self_register(
-                doc, user_id, password, hint_question, hint_answer,
-                now=now, digest_cost=self.digest_cost,
-            )
+            lambda doc, now: directory.self_register(doc, user_id, password, hint_question, hint_answer, now=now)
         )
 
     def update_user(
@@ -310,9 +301,7 @@ class Gatekeeper:
     # -- authentication ------------------------------------------------------
 
     def login(self, user_id: str, password: str) -> Session:
-        return self._apply(
-            lambda doc, now: sessions.login(doc, user_id, password, now=now, digest_cost=self.digest_cost)
-        )
+        return self._apply(lambda doc, now: sessions.login(doc, user_id, password, now=now))
 
     def resolve(self, token: str) -> Principal:
         """The principal of a live bearer token; InvalidToken for a dead one.
@@ -331,20 +320,14 @@ class Gatekeeper:
 
     def change_password(self, token: str, old_password: str, new_password: str) -> None:
         return self._apply(
-            lambda doc, now: sessions.change_password(
-                doc, token, old_password, new_password, now=now, digest_cost=self.digest_cost
-            )
+            lambda doc, now: sessions.change_password(doc, token, old_password, new_password, now=now)
         )
 
     def recover_begin(self, user_id: str) -> str:
         return self._apply(lambda doc, now: sessions.recover_begin(doc, user_id))
 
     def recover_complete(self, user_id: str, hint_answer: str) -> str:
-        return self._apply(
-            lambda doc, now: sessions.recover_complete(
-                doc, user_id, hint_answer, now=now, digest_cost=self.digest_cost
-            )
-        )
+        return self._apply(lambda doc, now: sessions.recover_complete(doc, user_id, hint_answer, now=now))
 
     # -- decisions -----------------------------------------------------------
 

@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import IO, Callable, Iterator, Mapping
 
 from .app import Gatekeeper, system_clock
-from .credentials import DEFAULT_COST
 from .engine import ANONYMOUS, Principal
 from .errors import GatekeeperError, IoFailure
 from .model import AccessLevel, DataClass, MenuGroup, PolicyConfig, Resource, Role, SelfRegistrationMode, UserStatus
@@ -36,7 +35,6 @@ from .wire import decision_wire, menu_wire, public_user
 
 STORE_ENV = "GATEKEEPER_STORE"
 PASSWORD_ENV = "GATEKEEPER_PASSWORD"
-KDF_COST_ENV = "GATEKEEPER_KDF_COST"
 
 USAGE_ERROR = 2
 
@@ -58,7 +56,6 @@ class Ctx:
     as_json: bool
     store_path: Path
     clock: Callable[[], datetime]
-    digest_cost: int
 
     def emit(self, human: str, payload: dict) -> None:
         if self.as_json:
@@ -97,7 +94,7 @@ def _auth_password(ctx: Ctx, label: str) -> str:
 
 
 def _open(ctx: Ctx) -> Gatekeeper:
-    return Gatekeeper.open(ctx.store_path, clock=ctx.clock, digest_cost=ctx.digest_cost)
+    return Gatekeeper.open(ctx.store_path, clock=ctx.clock)
 
 
 @contextlib.contextmanager
@@ -146,7 +143,6 @@ def cmd_bootstrap(args, ctx: Ctx) -> int:
         config=config,
         store_path=ctx.store_path,
         clock=ctx.clock,
-        digest_cost=ctx.digest_cost,
     )
     human = (
         f"initialized store at {ctx.store_path}\n"
@@ -524,20 +520,7 @@ def execute(
             if not store_arg:
                 raise UsageError(f"no store given: pass --store or set ${STORE_ENV}")
             clock = system_clock if args.now is None else lambda: args.now
-            try:
-                digest_cost = _count(env.get(KDF_COST_ENV, str(DEFAULT_COST)))
-            except argparse.ArgumentTypeError:
-                digest_cost = 0
-            if digest_cost < 1:
-                raise UsageError(f"${KDF_COST_ENV} must be a positive integer")
-            ctx = Ctx(
-                env=env,
-                stdout=out,
-                as_json=args.json,
-                store_path=Path(store_arg),
-                clock=clock,
-                digest_cost=digest_cost,
-            )
+            ctx = Ctx(env=env, stdout=out, as_json=args.json, store_path=Path(store_arg), clock=clock)
             return args.func(args, ctx)
         except UsageError as exc:
             print(f"error: {exc}", file=err)

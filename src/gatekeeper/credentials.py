@@ -1,8 +1,9 @@
 """Salted credential digests plus secret generation.
 
 Passwords and hint answers are stored only as salted PBKDF2-SHA256 digests.
-The cost parameter is recorded per digest, so records created with an older
-(or test-sized) cost keep verifying after the default changes.
+Every new digest is made at ``DEFAULT_COST``, read at call time.  The cost
+is recorded per digest, so records made at an older cost keep verifying
+after the constant changes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import os
 import secrets
 import string
 from dataclasses import dataclass
-from functools import lru_cache
 
 PBKDF2_SHA256 = "pbkdf2-sha256"
 DEFAULT_COST = 120_000
@@ -38,26 +38,28 @@ class CredentialDigest:
     cost: int
 
 
-def make_digest(secret: str, *, cost: int = DEFAULT_COST) -> CredentialDigest:
-    if cost < 1:
-        raise ValueError("digest cost must be >= 1")
+def make_digest(secret: str) -> CredentialDigest:
     salt = os.urandom(MIN_SALT_BYTES)
-    raw = hashlib.pbkdf2_hmac("sha256", secret.encode("utf-8"), salt, cost)
-    return CredentialDigest(algorithm=PBKDF2_SHA256, salt=salt, digest=raw, cost=cost)
+    raw = hashlib.pbkdf2_hmac("sha256", secret.encode("utf-8"), salt, DEFAULT_COST)
+    return CredentialDigest(algorithm=PBKDF2_SHA256, salt=salt, digest=raw, cost=DEFAULT_COST)
 
 
 def verify_secret(secret: str, stored: CredentialDigest) -> bool:
-    if stored.algorithm != PBKDF2_SHA256:
-        return False
+    """Only PBKDF2-SHA256 digests exist: ``digest_from_wire`` refuses others."""
     candidate = hashlib.pbkdf2_hmac("sha256", secret.encode("utf-8"), stored.salt, stored.cost)
     return hmac.compare_digest(candidate, stored.digest)
 
 
-@lru_cache(maxsize=8)
-def dummy_digest(cost: int) -> CredentialDigest:
+_dummies: dict[int, CredentialDigest] = {}
+
+
+def dummy_digest() -> CredentialDigest:
     """A throwaway digest verified against when a login names an unknown user,
-    so the unknown-user path costs the same as a wrong-password path."""
-    return make_digest(secrets.token_urlsafe(32), cost=cost)
+    so the unknown-user path costs the same as a wrong-password path.  One
+    is kept per cost, so a changed ``DEFAULT_COST`` gets a fresh one."""
+    if DEFAULT_COST not in _dummies:
+        _dummies[DEFAULT_COST] = make_digest(secrets.token_urlsafe(32))
+    return _dummies[DEFAULT_COST]
 
 
 def normalize_hint_answer(answer: str) -> str:
@@ -65,13 +67,10 @@ def normalize_hint_answer(answer: str) -> str:
     return answer.strip().casefold()
 
 
-def make_hint_digest(answer: str, *, cost: int = DEFAULT_COST) -> CredentialDigest:
+def make_hint_digest(answer: str) -> CredentialDigest:
     """Digest a hint answer, normalized.  A blank answer digests an
     unguessable random secret so it can never be matched."""
-    normalized = normalize_hint_answer(answer)
-    if not normalized:
-        return make_digest(secrets.token_urlsafe(32), cost=cost)
-    return make_digest(normalized, cost=cost)
+    return make_digest(normalize_hint_answer(answer) or secrets.token_urlsafe(32))
 
 
 def verify_hint_answer(answer: str, stored: CredentialDigest) -> bool:
@@ -109,6 +108,8 @@ def digest_from_wire(obj: dict) -> CredentialDigest:
     cost = obj.get("cost")
     if not isinstance(alg, str) or not isinstance(salt, str) or not isinstance(digest, str):
         raise ValueError("digest fields alg/salt/digest must be strings")
+    if alg != PBKDF2_SHA256:
+        raise ValueError(f"digest alg must be {PBKDF2_SHA256!r}")
     if not isinstance(cost, int) or isinstance(cost, bool) or cost < 1:
         raise ValueError("digest cost must be a positive integer")
     try:

@@ -110,15 +110,14 @@ def build_user_record(
     created_by: str,
     status: UserStatus,
     now: datetime,
-    digest_cost: int,
 ) -> UserRecord:
     return UserRecord(
         user_id=user_id,
-        password_digest=make_digest(password, cost=digest_cost),
+        password_digest=make_digest(password),
         role=role,
         status=status,
         hint_question=hint_question,
-        hint_answer_digest=make_hint_digest(hint_answer, cost=digest_cost),
+        hint_answer_digest=make_hint_digest(hint_answer),
         created_by=created_by,
         created_at=now,
     )
@@ -134,7 +133,6 @@ def create_user(
     hint_answer: str = "",
     *,
     now: datetime,
-    digest_cost: int,
 ) -> MutationResult:
     """Provision an account (administrator only).
 
@@ -150,7 +148,7 @@ def create_user(
     check_password_strength(password)
     record = build_user_record(
         user_id, password, role, hint_question, hint_answer,
-        created_by=actor.user_id, status=UserStatus.ACTIVE, now=now, digest_cost=digest_cost,
+        created_by=actor.user_id, status=UserStatus.ACTIVE, now=now,
     )
     new_doc = replace(doc, users=doc.users + (record,))
     entry = AuditEntry(
@@ -169,7 +167,6 @@ def self_register(
     hint_answer: str = "",
     *,
     now: datetime,
-    digest_cost: int,
 ) -> MutationResult:
     """Self-service registration, when the policy allows it.
 
@@ -185,7 +182,7 @@ def self_register(
     status = UserStatus.ACTIVE if mode is SelfRegistrationMode.AUTO_GUEST else UserStatus.PENDING
     record = build_user_record(
         user_id, password, Role.GUEST, hint_question, hint_answer,
-        created_by=SELF_REGISTRATION_ACTOR, status=status, now=now, digest_cost=digest_cost,
+        created_by=SELF_REGISTRATION_ACTOR, status=status, now=now,
     )
     new_doc = replace(doc, users=doc.users + (record,))
     entry = AuditEntry(

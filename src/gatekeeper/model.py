@@ -153,7 +153,7 @@ class PolicyConfig:
             raise InvalidArgument("session_ttl_seconds must be a positive integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Resource:
     """A protected report, form or page.
 
@@ -182,7 +182,7 @@ class Resource:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserRecord:
     """A provisioned account.  Outsiders have no records by definition."""
 
@@ -203,7 +203,7 @@ class UserRecord:
             raise InvalidArgument("recovery_failures must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpecialGrant:
     """A per-user, per-resource, per-level allowance with optional expiry.
 
@@ -232,7 +232,7 @@ class SpecialGrant:
         return self.level is level or (self.level is AccessLevel.WRITE and level is AccessLevel.READ)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Session:
     token: str
     user_id: str

@@ -75,7 +75,6 @@ def login(
     password: str,
     *,
     now: datetime,
-    digest_cost: int,
 ) -> MutationResult:
     """Verify credentials and issue a session.
 
@@ -85,7 +84,7 @@ def login(
     """
     user = find_user(doc, user_id)
     if user is None:
-        verify_secret(password, dummy_digest(digest_cost))
+        verify_secret(password, dummy_digest())
         return None, AuthFailed(), (_login_failed(user_id, "unknown_user"),)
     if not verify_secret(password, user.password_digest):
         return None, AuthFailed(), (_login_failed(user_id, "bad_password"),)
@@ -172,7 +171,6 @@ def change_password(
     new_password: str,
     *,
     now: datetime,
-    digest_cost: int,
 ) -> MutationResult:
     """Self-service password change for the session's own user.
 
@@ -188,7 +186,7 @@ def change_password(
     if not verify_secret(old_password, user.password_digest):
         raise OldPasswordMismatch()
     check_password_strength(new_password)
-    updated = replace(user, password_digest=make_digest(new_password, cost=digest_cost))
+    updated = replace(user, password_digest=make_digest(new_password))
     sessions = tuple(s for s in doc.sessions if s.user_id != user.user_id or s.token == token)
     entry = AuditEntry(actor=user.user_id, kind="password_changed", detail={"user_id": user.user_id})
     return replace(replace_user(doc, updated), sessions=sessions), None, (entry,)
@@ -229,7 +227,6 @@ def recover_complete(
     hint_answer: str,
     *,
     now: datetime,
-    digest_cost: int,
 ) -> MutationResult:
     """Finish recovery: on a matching hint answer, issue a fresh random
     password (returned exactly once) and invalidate every live session.
@@ -248,7 +245,7 @@ def recover_complete(
         return replace_user(doc, bumped), HintMismatch(), (_recovery_failed(user_id, "hint_mismatch"),)
 
     new_password = generate_password()
-    updated = replace(user, password_digest=make_digest(new_password, cost=digest_cost), recovery_failures=0)
+    updated = replace(user, password_digest=make_digest(new_password), recovery_failures=0)
     sessions = tuple(s for s in doc.sessions if s.user_id != user.user_id)
     entry = AuditEntry(actor="anonymous", kind="recovery_completed", detail={"user_id": user.user_id})
     return replace(replace_user(doc, updated), sessions=sessions), new_password, (entry,)

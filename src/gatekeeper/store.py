@@ -98,7 +98,7 @@ class AuditEntry:
     detail: Mapping[str, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditEvent:
     seq: int
     at: datetime
@@ -250,20 +250,16 @@ _FIELDS = {
     ),
 }
 
-_ENCODERS = {
-    record_type: tuple((key, encode) for key, encode, _ in fields if encode is not None)
-    for record_type, fields in _FIELDS.items()
-}
-
 # The document's record lists, in decode order.
 _RECORD_LISTS = {"users": UserRecord, "grants": SpecialGrant, "resources": Resource, "sessions": Session}
 
 
 def to_wire(record) -> dict:
     """The stored JSON form of any record in ``_FIELDS``."""
-    wire = vars(record).copy()
-    for key, encode in _ENCODERS[type(record)]:
-        wire[key] = encode(wire[key])
+    wire = {}
+    for key, encode, _ in _FIELDS[type(record)]:
+        value = getattr(record, key)
+        wire[key] = value if encode is None else encode(value)
     return wire
 
 

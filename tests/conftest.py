@@ -2,10 +2,20 @@ from __future__ import annotations
 
 import pytest
 
+from gatekeeper import credentials
 from gatekeeper.app import Gatekeeper
 from gatekeeper.model import AccessLevel, DataClass, MenuGroup, Role
 
 from worlds import FAST_COST, FakeClock, make_resource
+
+
+@pytest.fixture(autouse=True)
+def fast_kdf():
+    """Every digest a test makes is at FAST_COST, not the production cost.
+    Its own patcher, so a test's ``monkeypatch.undo()`` leaves it in place."""
+    with pytest.MonkeyPatch.context() as patcher:
+        patcher.setattr(credentials, "DEFAULT_COST", FAST_COST)
+        yield
 
 
 @pytest.fixture
@@ -22,7 +32,6 @@ def gk(clock):
         hint_question="first pet?",
         hint_answer="rex",
         clock=clock,
-        digest_cost=FAST_COST,
     )
     return result.gatekeeper
 

@@ -49,7 +49,6 @@ from gatekeeper.web import HttpRequest, PolicyService
 
 from reference import BASELINE_TABLE, oracle_decide, oracle_visible_ids
 from worlds import (
-    FAST_COST,
     FakeClock,
     NOW,
     exhaustive_small_worlds,
@@ -152,7 +151,7 @@ def test_criterion_4_lifecycle_state_machine():
             multi = rng.random() < 0.5
             result = Gatekeeper.bootstrap(
                 "root", "rootpass1", config=PolicyConfig(multi_admin=multi),
-                clock=clock, digest_cost=FAST_COST,
+                clock=clock,
             )
             gk = result.gatekeeper
             admin = gk.principal_for("root")
@@ -198,7 +197,7 @@ def test_criterion_5_authentication_suite():
         gk = Gatekeeper.bootstrap(
             "root", "rootpass1", hint_question="pet?", hint_answer="rex",
             config=PolicyConfig(self_registration=SelfRegistrationMode.PENDING_APPROVAL),
-            clock=clock, digest_cost=FAST_COST,
+            clock=clock,
         ).gatekeeper
         admin = gk.principal_for("root")
         gk.create_user(admin, "alice", "password1", Role.MANAGER, "colour?", "red")
@@ -268,7 +267,6 @@ def test_criterion_6_unique_id_flowchart(tmp_path):
         env = {
             "GATEKEEPER_STORE": str(tmp_path / "store.json"),
             "GATEKEEPER_PASSWORD": "rootpass1",
-            "GATEKEEPER_KDF_COST": "4",
         }
 
         def run_cli(args):
@@ -287,7 +285,7 @@ def test_criterion_6_unique_id_flowchart(tmp_path):
             assert "user-id already exists; choose a different user-id" in err
 
         # validate_user_id agrees with create_user on 1,000 random candidates.
-        gk = Gatekeeper.open(env["GATEKEEPER_STORE"], digest_cost=FAST_COST)
+        gk = Gatekeeper.open(env["GATEKEEPER_STORE"])
         admin = gk.principal_for("root")
         rng = random.Random(0x60D)
         alphabet = string.ascii_letters + string.digits + "._-" + " /;é"
@@ -379,7 +377,6 @@ def test_criterion_8_end_to_end_scenario(tmp_path):
         env = {
             "GATEKEEPER_STORE": store,
             "GATEKEEPER_PASSWORD": "rootpass1",
-            "GATEKEEPER_KDF_COST": "4",
         }
 
         def cli(args):
@@ -403,7 +400,7 @@ def test_criterion_8_end_to_end_scenario(tmp_path):
 
         # Serve the same store over HTTP with an injected clock.
         clock = FakeClock(NOW)  # NOW == t0
-        service = PolicyService(Gatekeeper.open(store, clock=clock, digest_cost=4))
+        service = PolicyService(Gatekeeper.open(store, clock=clock))
 
         def http(method, target, token=None, body=None):
             headers = {"Authorization": f"Bearer {token}"} if token else {}

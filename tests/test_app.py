@@ -14,22 +14,22 @@ from gatekeeper.errors import GatekeeperError, InvalidId, WeakPassword
 from gatekeeper.model import AccessLevel, DataClass, MenuGroup, PolicyConfig, Role
 from gatekeeper.store import audit_path_for
 
-from worlds import FAST_COST, FakeClock, make_resource
+from worlds import FakeClock, make_resource
 
 
 class TestBootstrap:
     def test_generates_password_when_omitted(self):
-        result = Gatekeeper.bootstrap("root", clock=FakeClock(), digest_cost=FAST_COST)
+        result = Gatekeeper.bootstrap("root", clock=FakeClock())
         assert len(result.password) == 12
         assert result.gatekeeper.login("root", result.password)
 
     def test_weak_password_rejected(self):
         with pytest.raises(WeakPassword):
-            Gatekeeper.bootstrap("root", "short", clock=FakeClock(), digest_cost=FAST_COST)
+            Gatekeeper.bootstrap("root", "short", clock=FakeClock())
 
     def test_invalid_admin_id_rejected(self):
         with pytest.raises(InvalidId):
-            Gatekeeper.bootstrap("no spaces", "rootpass1", clock=FakeClock(), digest_cost=FAST_COST)
+            Gatekeeper.bootstrap("no spaces", "rootpass1", clock=FakeClock())
 
     def test_bootstrap_audited_as_system(self, gk):
         events = gk.audit_events(kind="user_created")
@@ -37,10 +37,10 @@ class TestBootstrap:
 
     def test_refuses_an_existing_store(self, tmp_path):
         store = tmp_path / "store.json"
-        Gatekeeper.bootstrap("root", "rootpass1", store_path=store, clock=FakeClock(), digest_cost=FAST_COST)
+        Gatekeeper.bootstrap("root", "rootpass1", store_path=store, clock=FakeClock())
         before = store.read_bytes(), audit_path_for(store).read_bytes()
         with pytest.raises(GatekeeperError, match="store already exists at"):
-            Gatekeeper.bootstrap("other", "otherpass1", store_path=store, clock=FakeClock(), digest_cost=FAST_COST)
+            Gatekeeper.bootstrap("other", "otherpass1", store_path=store, clock=FakeClock())
         assert (store.read_bytes(), audit_path_for(store).read_bytes()) == before
 
 
@@ -65,7 +65,7 @@ class TestDenialLogging:
         clock = FakeClock()
         gk = Gatekeeper.bootstrap(
             "root", "rootpass1", config=PolicyConfig(log_denials=False),
-            clock=clock, digest_cost=FAST_COST,
+            clock=clock,
         ).gatekeeper
         admin = gk.principal_for("root")
         gk.add_resource(admin, make_resource("report", DataClass.MANAGERIAL, MenuGroup.MANAGER_REPORTS))

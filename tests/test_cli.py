@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from gatekeeper import app, cli
+from gatekeeper import app, cli, credentials
 from gatekeeper.app import Gatekeeper
 from gatekeeper.cli import execute
 from gatekeeper.engine import ANONYMOUS
@@ -43,7 +43,6 @@ def env(tmp_path):
     return {
         "GATEKEEPER_STORE": str(tmp_path / "store.json"),
         "GATEKEEPER_PASSWORD": "rootpass1",
-        "GATEKEEPER_KDF_COST": "4",
     }
 
 
@@ -87,14 +86,15 @@ class TestBootstrap:
         assert doc["admin"]["user_id"] == "root"
         assert doc["password"] == "rootpass1"
 
-    @pytest.mark.parametrize("cost", ["0", "-1", "abc", "\u0663"], ids=["zero", "negative", "word", "arabic-indic-three"])
-    def test_kdf_cost_must_be_a_positive_integer(self, env, tmp_path, cost):
-        code, out, err = run(["bootstrap", "root", "--password", "rootpass1", "--now", T0],
-                             {**env, "GATEKEEPER_KDF_COST": cost})
-        assert code == 2
-        assert err == "error: $GATEKEEPER_KDF_COST must be a positive integer\n"
-        assert out == ""
-        assert not (tmp_path / "store.json").exists()
+    def test_the_environment_cannot_lower_the_kdf_cost(self, env, monkeypatch):
+        monkeypatch.setattr(credentials, "DEFAULT_COST", 3)
+        env = {**env, "GATEKEEPER_KDF_COST": "2"}
+        bootstrap = ["bootstrap", "root", "--password", "rootpass1", "--hint-answer", "rex", "--now", T0]
+        assert run(bootstrap, env)[0] == 0
+        assert run(admin_args(["user", "add", "rjones", "--role", "staff", "--password", "password1"]), env)[0] == 0
+        users = load(env["GATEKEEPER_STORE"]).users
+        assert [u.user_id for u in users] == ["root", "rjones"]
+        assert {d.cost for u in users for d in (u.password_digest, u.hint_answer_digest)} == {3}
 
 
 class TestUserCommands:
@@ -568,7 +568,7 @@ class TestLostUpdates:
 
     def test_a_cli_write_under_an_open_instance_is_not_overwritten(self, booted):
         store = booted["GATEKEEPER_STORE"]
-        gk = Gatekeeper.open(store, digest_cost=4)
+        gk = Gatekeeper.open(store)
         assert run(admin_args(["user", "add", "alice", "--role", "staff", "--password", "password1"]), booted)[0] == 0
         with pytest.raises(StoreChanged) as excinfo:
             gk.create_user(gk.principal_for("root"), "bob", "password1", Role.STAFF)
@@ -578,7 +578,7 @@ class TestLostUpdates:
 
     def test_an_instance_write_then_a_cli_write_then_the_instance_is_refused(self, booted):
         store = booted["GATEKEEPER_STORE"]
-        gk = Gatekeeper.open(store, digest_cost=4)
+        gk = Gatekeeper.open(store)
         gk.create_user(gk.principal_for("root"), "bob", "password1", Role.STAFF)
         assert run(admin_args(["user", "add", "alice", "--role", "staff", "--password", "password1"]), booted)[0] == 0
         assert {u.user_id for u in load(store).users} == {"root", "bob", "alice"}
@@ -596,14 +596,14 @@ class TestLostUpdates:
             return doc
 
         monkeypatch.setattr(app, "load", load_then_cli_write)
-        gk = Gatekeeper.open(store, digest_cost=4)
+        gk = Gatekeeper.open(store)
         with pytest.raises(StoreChanged):
             gk.create_user(gk.principal_for("root"), "bob", "password1", Role.STAFF)
         assert {u.user_id for u in load(store).users} == {"root", "alice"}
 
     def test_a_save_waits_for_the_store_lock_and_checks_the_file_under_it(self, booted):
         store = booted["GATEKEEPER_STORE"]
-        gk = Gatekeeper.open(store, digest_cost=4)
+        gk = Gatekeeper.open(store)
         root = gk.principal_for("root")
         errors = []
 
@@ -627,7 +627,7 @@ class TestLostUpdates:
     def test_a_denial_after_a_cli_write_is_still_answered(self, booted):
         add = ["resource", "add", "rep", "--class", "managerial", "--group", "manager-reports"]
         assert run(admin_args(add), booted)[0] == 0
-        gk = Gatekeeper.open(booted["GATEKEEPER_STORE"], digest_cost=4)
+        gk = Gatekeeper.open(booted["GATEKEEPER_STORE"])
         assert run(admin_args(["user", "add", "alice", "--role", "staff", "--password", "password1"]), booted)[0] == 0
         assert not gk.check(ANONYMOUS, "rep", AccessLevel.READ).allowed  # appends, saves nothing
         assert gk.audit_events()[-1].kind == "access_denied"
@@ -635,7 +635,7 @@ class TestLostUpdates:
     def test_a_denial_after_a_cli_write_takes_the_next_seq(self, booted):
         add = ["resource", "add", "rep", "--class", "managerial", "--group", "manager-reports"]
         assert run(admin_args(add), booted)[0] == 0
-        gk = Gatekeeper.open(booted["GATEKEEPER_STORE"], digest_cost=4)
+        gk = Gatekeeper.open(booted["GATEKEEPER_STORE"])
         assert run(admin_args(["user", "add", "alice", "--role", "staff", "--password", "password1"]), booted)[0] == 0
         assert not gk.check(ANONYMOUS, "rep", AccessLevel.READ).allowed
         seqs = [e.seq for e in gk.audit_events()]

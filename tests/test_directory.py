@@ -48,13 +48,13 @@ from gatekeeper.model import (
 from gatekeeper.wire import public_user
 
 from reference import oracle_decide, oracle_visible_ids
-from worlds import FAST_COST, FUTURE, FakeClock, make_resource, random_world
+from worlds import FUTURE, FakeClock, make_resource, random_world
 
 
 def fresh(config=None):
     result = Gatekeeper.bootstrap(
         "root", "rootpass1", hint_question="pet?", hint_answer="rex",
-        config=config, clock=FakeClock(), digest_cost=FAST_COST,
+        config=config, clock=FakeClock(),
     )
     return result.gatekeeper, result.gatekeeper.principal_for("root")
 

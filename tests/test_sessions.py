@@ -31,7 +31,7 @@ from gatekeeper.sessions import RECOVERY_LOCK_THRESHOLD
 from gatekeeper.store import load
 
 from test_directory import fresh
-from worlds import FAST_COST, FakeClock, make_resource
+from worlds import FakeClock, make_resource
 
 
 class TestLogin:
@@ -80,6 +80,26 @@ class TestLogin:
         with pytest.raises(AuthFailed):
             gk.login("walkin", "password1")
 
+    @pytest.mark.parametrize("user_id, password", [
+        ("ghost", "password1"), ("staffer", "wrong-password"), ("visitor", "password1"), ("walkin", "password1"),
+    ], ids=["unknown", "bad-password", "disabled", "pending"])
+    def test_each_failure_pays_one_digest_at_the_default_cost(self, monkeypatch, user_id, password):
+        from gatekeeper import credentials, sessions
+        from gatekeeper.model import SelfRegistrationMode
+
+        monkeypatch.setattr(credentials, "DEFAULT_COST", 5)  # not FAST_COST: the dummy is made afresh
+        gk, admin = fresh(PolicyConfig(self_registration=SelfRegistrationMode.PENDING_APPROVAL))
+        gk.create_user(admin, "staffer", "password1", Role.STAFF)
+        gk.create_user(admin, "visitor", "password1", Role.GUEST)
+        gk.update_user(admin, "visitor", status=UserStatus.DISABLED)
+        gk.self_register("walkin", "password1")
+        verified = []
+        real = sessions.verify_secret
+        monkeypatch.setattr(sessions, "verify_secret", lambda secret, digest: verified.append(digest) or real(secret, digest))
+        with pytest.raises(AuthFailed):
+            gk.login(user_id, password)
+        assert [digest.cost for digest in verified] == [credentials.DEFAULT_COST]
+
     def test_login_is_case_insensitive_on_user_id(self, populated):
         session = populated.login("BOSS", "password1")
         assert session.user_id == "boss"
@@ -100,14 +120,11 @@ class TestSessionShape:
 
     def test_sessions_survive_a_service_restart(self, tmp_path, clock):
         from gatekeeper.app import Gatekeeper
-        from worlds import FAST_COST
 
         path = tmp_path / "store.json"
-        gk = Gatekeeper.bootstrap(
-            "root", "rootpass1", store_path=path, clock=clock, digest_cost=FAST_COST
-        ).gatekeeper
+        gk = Gatekeeper.bootstrap("root", "rootpass1", store_path=path, clock=clock).gatekeeper
         session = gk.login("root", "rootpass1")
-        reopened = Gatekeeper.open(path, clock=clock, digest_cost=FAST_COST)
+        reopened = Gatekeeper.open(path, clock=clock)
         assert reopened.resolve(session.token).user_id == "root"
 
 
@@ -146,7 +163,7 @@ class TestResolve:
     def test_a_clock_stepped_back_never_moves_the_expiry_backwards(self, tmp_path, on_file):
         clock = FakeClock(datetime(2030, 1, 1, tzinfo=timezone.utc))
         path = tmp_path / "store.json" if on_file else None
-        gk = Gatekeeper.bootstrap("root", "rootpass1", store_path=path, clock=clock, digest_cost=FAST_COST).gatekeeper
+        gk = Gatekeeper.bootstrap("root", "rootpass1", store_path=path, clock=clock).gatekeeper
         session = gk.login("root", "rootpass1")
         clock.advance(seconds=-(gk.config.session_ttl_seconds + 1))
         assert gk.resolve(session.token).user_id == "root"
@@ -172,11 +189,8 @@ class TestResolve:
 
     def test_unknown_token_on_a_file_store_saves_nothing(self, tmp_path, clock, monkeypatch):
         import gatekeeper.app as app
-        from worlds import FAST_COST
 
-        gk = app.Gatekeeper.bootstrap(
-            "root", "rootpass1", store_path=tmp_path / "store.json", clock=clock, digest_cost=FAST_COST
-        ).gatekeeper
+        gk = app.Gatekeeper.bootstrap("root", "rootpass1", store_path=tmp_path / "store.json", clock=clock).gatekeeper
         saves = []
         monkeypatch.setattr(app, "save", lambda doc, path: saves.append(path))
         with pytest.raises(InvalidToken):
@@ -198,9 +212,7 @@ class TestResolve:
 
 def file_backed(tmp_path, clock):
     """A file-store engine with root and a staff user, and a staff session."""
-    gk = Gatekeeper.bootstrap(
-        "root", "rootpass1", store_path=tmp_path / "store.json", clock=clock, digest_cost=FAST_COST
-    ).gatekeeper
+    gk = Gatekeeper.bootstrap("root", "rootpass1", store_path=tmp_path / "store.json", clock=clock).gatekeeper
     gk.create_user(gk.principal_for("root"), "staffer", "password1", Role.STAFF)
     return gk, gk.login("staffer", "password1")
 
@@ -407,9 +419,7 @@ class TickingClock:
 
 def test_concurrent_resolves_and_commits_lose_no_slide(tmp_path):
     clock = TickingClock()
-    gk = Gatekeeper.bootstrap(
-        "root", "rootpass1", store_path=tmp_path / "store.json", clock=clock, digest_cost=FAST_COST
-    ).gatekeeper
+    gk = Gatekeeper.bootstrap("root", "rootpass1", store_path=tmp_path / "store.json", clock=clock).gatekeeper
     tokens = [gk.login("root", "rootpass1").token for _ in range(4)]
     ttl = timedelta(seconds=gk.config.session_ttl_seconds)
     floor = {token: datetime.min.replace(tzinfo=timezone.utc) for token in tokens}
@@ -664,9 +674,7 @@ class SlidingSessionMachine(RuleBasedStateMachine):
         self.workdir = tempfile.TemporaryDirectory()
         self.path = Path(self.workdir.name) / "store.json"
         self.clock = FakeClock()
-        self.gk = Gatekeeper.bootstrap(
-            "root", "rootpass1", store_path=self.path, clock=self.clock, digest_cost=FAST_COST
-        ).gatekeeper
+        self.gk = Gatekeeper.bootstrap("root", "rootpass1", store_path=self.path, clock=self.clock).gatekeeper
         self.ttl = timedelta(seconds=self.gk.config.session_ttl_seconds)
         self.effective: dict[str, datetime] = {}
         self.saved: dict[str, datetime] = {}
@@ -684,7 +692,7 @@ class SlidingSessionMachine(RuleBasedStateMachine):
         self.saved = dict(self.effective)
 
     def _reopen(self):
-        self.gk = Gatekeeper.open(self.path, clock=self.clock, digest_cost=FAST_COST)
+        self.gk = Gatekeeper.open(self.path, clock=self.clock)
 
     @rule()
     def login(self):

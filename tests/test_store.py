@@ -54,7 +54,6 @@ from gatekeeper.store import (
 )
 
 from worlds import (
-    FAST_COST,
     FUTURE,
     NOW,
     PAST,
@@ -83,6 +82,8 @@ BAD_FIELDS = [
     (("users", 1, "recovery_failures"), True, "users[1]: field 'recovery_failures' must be an integer"),
     (("users", 1, "recovery_failures"), None, "users[1]: field 'recovery_failures' must be an integer"),
     (("users", 1, "password_digest"), "x", "users[1]: field 'password_digest': digest must be an object"),
+    (("users", 0, "password_digest", "alg"), "bcrypt",
+     "users[0]: field 'password_digest': digest alg must be 'pbkdf2-sha256'"),
     (("users", 1, "hint_answer_digest", "salt"), "c2hvcnQ=",
      "users[1]: field 'hint_answer_digest': digest salt must be at least 16 bytes"),
     (("users", 0), [], "users[0]: expected an object"),
@@ -866,7 +867,7 @@ class TestAuditRoundTripAllKinds:
         gk = Gatekeeper.bootstrap(
             "root", "rootpass1", hint_question="pet?", hint_answer="rex",
             config=PolicyConfig(self_registration=SelfRegistrationMode.AUTO_GUEST),
-            store_path=path, clock=clock, digest_cost=FAST_COST,
+            store_path=path, clock=clock,
         ).gatekeeper
         admin = gk.principal_for("root")
         gk.add_resource(admin, make_resource("rep", DataClass.MANAGERIAL, MenuGroup.MANAGER_REPORTS))
@@ -906,9 +907,7 @@ class TestAuditRoundTripAllKinds:
 class TestWriteAheadOrdering:
     def test_audit_written_before_snapshot_and_gap_detectable(self, tmp_path, monkeypatch):
         path = tmp_path / "store.json"
-        result = Gatekeeper.bootstrap(
-            "root", "rootpass1", store_path=path, clock=FakeClock(), digest_cost=FAST_COST
-        )
+        result = Gatekeeper.bootstrap("root", "rootpass1", store_path=path, clock=FakeClock())
         gk = result.gatekeeper
         admin = gk.principal_for("root")
 
@@ -923,7 +922,7 @@ class TestWriteAheadOrdering:
         monkeypatch.undo()
 
         # The audit file recorded the intent; the snapshot never did.
-        replayed = Gatekeeper.open(path, digest_cost=FAST_COST)
+        replayed = Gatekeeper.open(path)
         audited_creates = {
             e.detail.get("user_id")
             for e in FileAuditLog(audit_path_for(path)).events()
@@ -935,9 +934,7 @@ class TestWriteAheadOrdering:
 
     def test_in_memory_state_not_published_when_save_fails(self, tmp_path, monkeypatch):
         path = tmp_path / "store.json"
-        result = Gatekeeper.bootstrap(
-            "root", "rootpass1", store_path=path, clock=FakeClock(), digest_cost=FAST_COST
-        )
+        result = Gatekeeper.bootstrap("root", "rootpass1", store_path=path, clock=FakeClock())
         gk = result.gatekeeper
         admin = gk.principal_for("root")
 
@@ -962,7 +959,7 @@ class TestWriteAheadOrdering:
 
 class TestSessionPruningOnSave:
     def test_expired_sessions_dropped_by_next_mutation(self, clock):
-        result = Gatekeeper.bootstrap("root", "rootpass1", clock=clock, digest_cost=FAST_COST)
+        result = Gatekeeper.bootstrap("root", "rootpass1", clock=clock)
         gk = result.gatekeeper
         admin = gk.principal_for("root")
         session = gk.login("root", "rootpass1")
@@ -971,7 +968,7 @@ class TestSessionPruningOnSave:
         assert all(s.token != session.token for s in gk.snapshot.sessions)
 
     def test_session_at_its_expiry_instant_is_kept(self, clock):
-        gk = Gatekeeper.bootstrap("root", "rootpass1", clock=clock, digest_cost=FAST_COST).gatekeeper
+        gk = Gatekeeper.bootstrap("root", "rootpass1", clock=clock).gatekeeper
         admin = gk.principal_for("root")
         session = gk.login("root", "rootpass1")
         clock.advance(seconds=gk.config.session_ttl_seconds)

@@ -23,7 +23,7 @@ from gatekeeper.web import MAX_BODY_BYTES, HttpRequest, PolicyService, make_serv
 from gatekeeper.wire import decision_wire
 
 from test_directory import fresh
-from worlds import FAST_COST, FakeClock
+from worlds import FakeClock
 
 
 @pytest.fixture
@@ -348,7 +348,7 @@ class TestAdminEndpoints:
         import gatekeeper.app as app
 
         gk = app.Gatekeeper.bootstrap(
-            "root", "rootpass1", store_path=tmp_path / "store.json", clock=FakeClock(), digest_cost=FAST_COST
+            "root", "rootpass1", store_path=tmp_path / "store.json", clock=FakeClock()
         ).gatekeeper
         gk.create_user(gk.principal_for("root"), "staffer", "password1", Role.STAFF)
         service = PolicyService(gk)
@@ -436,7 +436,7 @@ class TestSessionLifecycleOverHttp:
     def test_every_dead_token_is_the_same_401_and_writes_nothing(self, tmp_path):
         clock = FakeClock()
         path = tmp_path / "store.json"
-        gk = Gatekeeper.bootstrap("root", "rootpass1", store_path=path, clock=clock, digest_cost=FAST_COST).gatekeeper
+        gk = Gatekeeper.bootstrap("root", "rootpass1", store_path=path, clock=clock).gatekeeper
         for user_id in ("staffer", "leaver"):
             gk.create_user(gk.principal_for("root"), user_id, "password1", Role.STAFF)
         expired = gk.login("staffer", "password1").token
@@ -446,7 +446,7 @@ class TestSessionLifecycleOverHttp:
         # A store written before disabling a user dropped their sessions.
         leaver = replace(find_user(gk.snapshot, "leaver"), status=UserStatus.DISABLED)
         save(replace_user(gk.snapshot, leaver), path)
-        service = PolicyService(Gatekeeper.open(path, clock=clock, digest_cost=FAST_COST))
+        service = PolicyService(Gatekeeper.open(path, clock=clock))
         before = path.read_bytes(), audit_path_for(path).read_bytes()
         replies = {
             (r.status, tuple(sorted(r.headers.items())), r.body)
@@ -571,13 +571,11 @@ class TestConcurrencyWithPersistence:
     def test_racing_mutations_keep_the_store_file_valid(self, tmp_path):
         from gatekeeper.app import Gatekeeper
         from gatekeeper.store import load
-        from worlds import FAST_COST, FakeClock, make_resource
+        from worlds import FakeClock, make_resource
         from gatekeeper.model import DataClass, MenuGroup, Role
 
         path = tmp_path / "store.json"
-        gk = Gatekeeper.bootstrap(
-            "root", "rootpass1", store_path=path, clock=FakeClock(), digest_cost=FAST_COST
-        ).gatekeeper
+        gk = Gatekeeper.bootstrap("root", "rootpass1", store_path=path, clock=FakeClock()).gatekeeper
         admin = gk.principal_for("root")
         gk.add_resource(admin, make_resource("rep", DataClass.MANAGERIAL, MenuGroup.MANAGER_REPORTS))
         gk.create_user(admin, "alice", "password1", Role.STAFF)

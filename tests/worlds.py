@@ -68,11 +68,11 @@ def make_user(
 ) -> UserRecord:
     return UserRecord(
         user_id=user_id,
-        password_digest=make_digest(password, cost=FAST_COST),
+        password_digest=make_digest(password),
         role=role,
         status=status,
         hint_question=hint_question,
-        hint_answer_digest=make_digest(hint_answer.strip().casefold(), cost=FAST_COST),
+        hint_answer_digest=make_digest(hint_answer.strip().casefold()),
         created_by=created_by,
         created_at=created_at,
     )
