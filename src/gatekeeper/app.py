@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -53,6 +53,9 @@ from .store import (
 )
 
 Clock = Callable[[], datetime]
+
+# The built-in administrator that bootstrap acts as when it creates the first user.
+_SYSTEM = Principal(user_id="system", role=Role.ADMINISTRATOR, status=UserStatus.ACTIVE)
 
 
 def system_clock() -> datetime:
@@ -118,8 +121,9 @@ class Gatekeeper:
         """Create a fresh store holding its first administrator.
 
         Nothing in the access model can mint the first administrator, so
-        bootstrap builds the record itself, audited as 'system', and commits
-        it through the same writer path as every other mutation.
+        bootstrap acts as the built-in 'system' administrator: it creates
+        the account through ``directory.create_user``, audited as 'system',
+        and commits it through the same writer path as every other mutation.
         When no password is supplied a random one is generated; either way
         it is handed back for explicit echo to the operator.  An existing
         store at ``store_path`` is refused, not replaced.
@@ -128,22 +132,14 @@ class Gatekeeper:
             raise GatekeeperError(f"store already exists at {store_path}")
         if password is None:
             password = generate_password()
-
-        def add_first_admin(doc: StoreDocument, now: datetime):
-            directory.check_password_strength(password)
-            directory.check_new_id(doc, admin_id)
-            admin = directory.build_user_record(
-                admin_id, password, Role.ADMINISTRATOR, hint_question, hint_answer,
-                created_by="system", status=UserStatus.ACTIVE, now=now,
-            )
-            detail = {"user_id": admin_id, "role": "administrator"}
-            entry = AuditEntry(actor="system", kind="user_created", detail=detail)
-            return replace(doc, users=(admin,)), admin, (entry,)
-
         # The empty starting snapshot is never saved: it holds no administrator.
         empty = StoreDocument(config=config or PolicyConfig())
         gk = cls(empty, store_path=store_path, clock=clock)
-        admin = gk._apply(add_first_admin)
+        admin = gk._apply(
+            lambda doc, now: directory.create_user(
+                doc, _SYSTEM, admin_id, password, Role.ADMINISTRATOR, hint_question, hint_answer, now=now
+            )
+        )
         return BootstrapResult(gatekeeper=gk, admin=admin, password=password)
 
     @classmethod

@@ -31,7 +31,7 @@ from .errors import GatekeeperError, IoFailure
 from .model import AccessLevel, DataClass, MenuGroup, PolicyConfig, Resource, Role, SelfRegistrationMode, UserStatus
 from .store import format_instant, parse_instant, store_lock, to_wire
 from .web import make_server
-from .wire import decision_wire, menu_wire, public_user
+from .wire import _parse_count, decision_wire, menu_wire, public_user
 
 STORE_ENV = "GATEKEEPER_STORE"
 PASSWORD_ENV = "GATEKEEPER_PASSWORD"
@@ -73,17 +73,26 @@ def _instant(text: str) -> datetime:
 
 
 def _count(text: str) -> int:
-    """argparse type for a non-negative integer."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
-    return int(text)
+    """argparse type for a non-negative integer: a bad value is a usage error."""
+    try:
+        return _parse_count(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _prompt_secret(label: str) -> str:
+    """A secret typed at the terminal without echo or, with no terminal, the next
+    line of stdin, unprompted.  End of input, a closed stdin or Ctrl-C is a usage error."""
+    stdin = sys.stdin
     try:
-        return getpass.getpass(label)
-    except (EOFError, KeyboardInterrupt):
-        raise UsageError("a password is required and no terminal is available") from None
+        if stdin is not None and stdin.isatty():
+            return getpass.getpass(label)
+        line = stdin.readline() if stdin is not None else ""
+    except (EOFError, KeyboardInterrupt, OSError, ValueError):  # ValueError: stdin is closed
+        line = ""
+    if not line:
+        raise UsageError("a password is required and no terminal is available")
+    return line.rstrip("\r\n")
 
 
 def _auth_password(ctx: Ctx, label: str) -> str:
@@ -343,12 +352,15 @@ def cmd_audit_tail(args, ctx: Ctx) -> int:
 
 def cmd_serve(args, ctx: Ctx) -> int:
     host, _, port_text = args.bind.rpartition(":")
-    # ASCII only: int() also reads other scripts' digits, so '٣' would be port 3.
-    if not (host and port_text.isascii() and port_text.isdigit() and len(port_text) <= 5 and int(port_text) <= 65535):
-        raise UsageError("--bind must look like HOST:PORT")
+    try:
+        port = _parse_count(port_text)
+        if not host or port > 65535:
+            raise ValueError(args.bind)
+    except ValueError:
+        raise UsageError("--bind must look like HOST:PORT") from None
     gk = _open(ctx)
     try:
-        server = make_server(gk, host, int(port_text))
+        server = make_server(gk, host, port)
     except OSError as exc:
         raise IoFailure(f"cannot listen on {host}:{port_text}: {exc}") from exc
     print(f"serving on http://{host}:{port_text}", file=ctx.stdout)
@@ -397,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=PolicyConfig.self_registration.value.replace("_", "-"),
         choices=_REGISTRATION_CHOICES,
     )
-    p.add_argument("--session-ttl", type=int, default=PolicyConfig.session_ttl_seconds)
+    p.add_argument("--session-ttl", type=_count, default=PolicyConfig.session_ttl_seconds)
     p.add_argument("--no-self-password-change", action="store_true")
     p.add_argument("--no-log-denials", action="store_true")
     p.set_defaults(func=cmd_bootstrap)

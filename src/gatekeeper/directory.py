@@ -83,13 +83,6 @@ def require_user(doc: StoreDocument, user_id: str) -> UserRecord:
     return record
 
 
-def check_new_id(doc: StoreDocument, user_id: str) -> None:
-    """Raise InvalidId or IdAlreadyExists unless ``user_id`` is free to take."""
-    refusal = validate_user_id(doc, user_id)
-    if refusal is not None:
-        raise refusal
-
-
 def _check_admin_cap(doc: StoreDocument) -> None:
     """Raise AdminCapExceeded unless the policy admits another administrator."""
     if not doc.config.multi_admin and active_admin_count(doc) >= 1:
@@ -101,17 +94,17 @@ def check_password_strength(password: str) -> None:
         raise WeakPassword()
 
 
-def build_user_record(
-    user_id: str,
-    password: str,
-    role: Role,
-    hint_question: str,
-    hint_answer: str,
-    created_by: str,
-    status: UserStatus,
-    now: datetime,
-) -> UserRecord:
-    return UserRecord(
+def _add_user(
+    doc: StoreDocument, user_id: str, password: str, role: Role, status: UserStatus,
+    hint_question: str, hint_answer: str, created_by: str, now: datetime,
+) -> tuple[StoreDocument, UserRecord]:
+    """``doc`` with a new user appended, and the record: the one place a user is made.
+    The id is checked before the password; a refused request makes no digest."""
+    refusal = validate_user_id(doc, user_id)
+    if refusal is not None:
+        raise refusal
+    check_password_strength(password)
+    record = UserRecord(
         user_id=user_id,
         password_digest=make_digest(password),
         role=role,
@@ -121,6 +114,7 @@ def build_user_record(
         created_by=created_by,
         created_at=now,
     )
+    return replace(doc, users=doc.users + (record,)), record
 
 
 def create_user(
@@ -137,20 +131,17 @@ def create_user(
     """Provision an account (administrator only).
 
     The new record is always Active.  Creating a second administrator is
-    refused unless the multi-admin policy is enabled.
+    refused unless the multi-admin policy is enabled.  Refusals come in one
+    order: the actor, the role and the cap, the id, then the password.
     """
     require_admin(actor)
-    check_new_id(doc, user_id)
     if role not in (Role.GUEST, Role.STAFF, Role.MANAGER, Role.ADMINISTRATOR):
         raise InvalidArgument("new users must be guest, staff, manager or administrator")
     if role is Role.ADMINISTRATOR:
         _check_admin_cap(doc)
-    check_password_strength(password)
-    record = build_user_record(
-        user_id, password, role, hint_question, hint_answer,
-        created_by=actor.user_id, status=UserStatus.ACTIVE, now=now,
+    new_doc, record = _add_user(
+        doc, user_id, password, role, UserStatus.ACTIVE, hint_question, hint_answer, actor.user_id, now
     )
-    new_doc = replace(doc, users=doc.users + (record,))
     entry = AuditEntry(
         actor=actor.user_id,
         kind="user_created",
@@ -177,14 +168,10 @@ def self_register(
     mode = doc.config.self_registration
     if mode is SelfRegistrationMode.DISABLED:
         raise SelfRegistrationDisabled()
-    check_new_id(doc, user_id)
-    check_password_strength(password)
     status = UserStatus.ACTIVE if mode is SelfRegistrationMode.AUTO_GUEST else UserStatus.PENDING
-    record = build_user_record(
-        user_id, password, Role.GUEST, hint_question, hint_answer,
-        created_by=SELF_REGISTRATION_ACTOR, status=status, now=now,
+    new_doc, record = _add_user(
+        doc, user_id, password, Role.GUEST, status, hint_question, hint_answer, SELF_REGISTRATION_ACTOR, now
     )
-    new_doc = replace(doc, users=doc.users + (record,))
     entry = AuditEntry(
         actor="anonymous",
         kind="user_registered",

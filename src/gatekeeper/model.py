@@ -253,13 +253,6 @@ class StoreDocument:
     resources: tuple[Resource, ...] = ()
     sessions: tuple[Session, ...] = ()
 
-    def __post_init__(self):
-        # Accept lists for convenience; store tuples so snapshots stay frozen.
-        for name in ("users", "grants", "resources", "sessions"):
-            value = getattr(self, name)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
-
 
 def find_user(doc: StoreDocument, user_id: str) -> UserRecord | None:
     """Case-insensitive user lookup (ids are unique under case-folding)."""

@@ -28,7 +28,7 @@ from .engine import ANONYMOUS, Principal
 from .errors import GatekeeperError, InvalidArgument, InvalidToken, UnknownResource
 from .model import AccessLevel, Role, UserStatus, find_resource
 from .store import parse_instant, to_wire
-from .wire import decision_wire, menu_wire, public_user
+from .wire import _parse_count, decision_wire, menu_wire, public_user
 
 #: Largest request body the socket server reads; longer ones get a 413.
 MAX_BODY_BYTES = 1 << 20
@@ -308,11 +308,9 @@ class PolicyService:
         limit = None
         if "limit" in query:
             try:
-                limit = int(query["limit"])
+                limit = _parse_count(query["limit"])
             except ValueError:
-                raise InvalidArgument("limit must be an integer") from None
-            if limit < 0:
-                raise InvalidArgument("limit must be a non-negative integer")
+                raise InvalidArgument("limit must be a non-negative integer") from None
         events = self.gatekeeper.audit_events(
             kind=query.get("kind"), actor=query.get("actor"), since=since, until=until, limit=limit
         )
@@ -335,11 +333,13 @@ class _Handler(BaseHTTPRequestHandler):
         raw_length = (self.headers.get("Content-Length") or "0").strip()
         if "Transfer-Encoding" in self.headers:
             return self.send_error(400, "Transfer-Encoding is not supported; send Content-Length")
-        if not (raw_length.isascii() and raw_length.isdigit()):
+        try:
+            length = _parse_count(raw_length)
+        except ValueError:
             return self.send_error(400, "Content-Length must be a non-negative integer")
-        if int(raw_length) > MAX_BODY_BYTES:
+        if length > MAX_BODY_BYTES:
             return self.send_error(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-        body = self.rfile.read(int(raw_length))
+        body = self.rfile.read(length)
         request = HttpRequest.make(self.command, self.path, dict(self.headers.items()), body)
         self._send(self.service.handle(request))
 

@@ -8,7 +8,7 @@ derived from the engine's results.
 User records cross this boundary redacted: no digest bytes, no salts, no
 plaintext secrets ever appear in a serialized view.  :func:`public_user`
 names every field it shows, so a field added to the record stays private
-until it is added here.
+until it is added here.  Counts coming in the other way are read here too.
 """
 
 from __future__ import annotations
@@ -53,3 +53,11 @@ def menu_wire(tree: MenuTree) -> dict:
             for group, items in tree.groups
         ]
     }
+
+
+def _parse_count(text: str) -> int:
+    """A count from outside the program, in ASCII digits only; ValueError for anything
+    else.  ``int()`` alone also takes signs, spaces, '_' and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a non-negative integer: {text!r}")
+    return int(text)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gatekeeper.app import Gatekeeper
-from gatekeeper.errors import GatekeeperError, InvalidId, WeakPassword
+from gatekeeper.errors import GatekeeperError, InvalidId, UnknownUser, WeakPassword
 from gatekeeper.model import AccessLevel, DataClass, MenuGroup, PolicyConfig, Role
 from gatekeeper.store import audit_path_for
 
@@ -31,6 +31,12 @@ class TestBootstrap:
         with pytest.raises(InvalidId):
             Gatekeeper.bootstrap("no spaces", "rootpass1", clock=FakeClock())
 
+    def test_the_id_is_refused_before_the_password(self):
+        """Bootstrap creates its administrator as ``user add`` does, so a
+        request with two faults meets the same refusal."""
+        with pytest.raises(InvalidId):
+            Gatekeeper.bootstrap("no spaces", "short", clock=FakeClock())
+
     def test_bootstrap_audited_as_system(self, gk):
         events = gk.audit_events(kind="user_created")
         assert events[0].actor == "system"
@@ -42,6 +48,12 @@ class TestBootstrap:
         with pytest.raises(GatekeeperError, match="store already exists at"):
             Gatekeeper.bootstrap("other", "otherpass1", store_path=store, clock=FakeClock())
         assert (store.read_bytes(), audit_path_for(store).read_bytes()) == before
+
+
+class TestPrincipalFor:
+    def test_an_unknown_user_is_refused(self, gk):
+        with pytest.raises(UnknownUser, match="no such user: 'ghost'"):
+            gk.principal_for("ghost")
 
 
 class TestDenialLogging:

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import socket
+import sys
 import threading
 import time
 from pathlib import Path
@@ -95,6 +96,39 @@ class TestBootstrap:
         users = load(env["GATEKEEPER_STORE"]).users
         assert [u.user_id for u in users] == ["root", "rjones"]
         assert {d.cost for u in users for d in (u.password_digest, u.hint_answer_digest)} == {3}
+
+    def test_a_zero_session_ttl_is_a_domain_error(self, env, tmp_path):
+        code, out, err = run(["bootstrap", "root", "--password", "rootpass1", "--session-ttl", "0"], env)
+        assert (code, out, err) == (1, "", "error: session_ttl_seconds must be a positive integer\n")
+        assert not (tmp_path / "store.json").exists()
+
+
+class TestPipedSecrets:
+    """With no terminal, each prompt reads the next line of stdin, silently."""
+
+    ADD = admin_args(["user", "add", "hal", "--role", "guest"])
+
+    def test_a_piped_password_is_read_without_a_warning(self, booted, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("halpass123\n"))
+        assert run(self.ADD, booted) == (0, "created user 'hal' (guest, active)\n", "")
+        assert run(["login", "hal", "--password", "halpass123", "--now", T0], booted)[0] == 0
+
+    def test_prompts_read_one_line_each_in_prompt_order(self, booted, monkeypatch):
+        env = {k: v for k, v in booted.items() if k != "GATEKEEPER_PASSWORD"}
+        monkeypatch.setattr(sys, "stdin", io.StringIO("halpass123\r\nrootpass1\n"))
+        assert run(self.ADD, env) == (0, "created user 'hal' (guest, active)\n", "")
+        assert run(["login", "hal", "--password", "halpass123", "--now", T0], booted)[0] == 0
+
+    @pytest.mark.parametrize("kind", ["at-eof", "closed", "absent"])
+    def test_no_input_is_a_usage_error(self, booted, monkeypatch, kind):
+        stdin = None if kind == "absent" else io.StringIO("" if kind == "at-eof" else "halpass123\n")
+        if kind == "closed":
+            stdin.close()
+        monkeypatch.setattr(sys, "stdin", stdin)
+        store = Path(booted["GATEKEEPER_STORE"])
+        before = store.read_bytes(), audit_path_for(store).read_bytes()
+        assert run(self.ADD, booted) == (2, "", "error: a password is required and no terminal is available\n")
+        assert (store.read_bytes(), audit_path_for(store).read_bytes()) == before
 
 
 class TestUserCommands:
@@ -357,8 +391,16 @@ class TestUsageErrors:
             admin_args(["grant", "add", "root", "page", "--level", "read", "--expires", "garbage"]),
             ["audit", "tail", "-n", "-3"],
             ["check", "--resource", "page", "--level", "read", "--now", "0001-01-01T00:00:00+01:00"],
+            ["audit", "tail", "-n", "\u0663"],
+            ["audit", "tail", "-n", "1_0"],
+            ["bootstrap", "root2", "--session-ttl", "\u0663"],
+            ["bootstrap", "root2", "--session-ttl", "-5"],
+            ["bootstrap", "root2", "--session-ttl", "+3"],
+            ["bootstrap", "root2", "--session-ttl", "1_0"],
+            ["bootstrap", "root2", "--session-ttl", " 3"],
         ],
-        ids=["expires", "negative-lines", "out-of-range-now"],
+        ids=["expires", "negative-lines", "out-of-range-now", "non-ascii-lines", "underscore-lines",
+             "non-ascii-ttl", "negative-ttl", "signed-ttl", "underscore-ttl", "spaced-ttl"],
     )
     def test_bad_option_value_is_a_usage_error(self, booted, args):
         store = Path(booted["GATEKEEPER_STORE"])

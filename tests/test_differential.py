@@ -46,7 +46,9 @@ def test_the_cases_repeat_byte_for_byte(tmp_path, monkeypatch):
         runs.append(differential.run_cases())
     assert differential.compare(*runs) == [f"{len(runs[0])} of {len(runs[0])} outputs byte-identical"]
     outputs = runs[0]
-    assert {key.split("/")[0] for key in outputs} == {"cli", "cli-kdf-env", "http", "corrupt", "socket"}
+    assert {key.split("/")[0] for key in outputs} == {
+        "cli", "cli-kdf-env", "cli-refusal-order", "http", "corrupt", "socket"
+    }
     assert outputs["cli/bootstrap/exit"] == b"0"
     assert outputs["corrupt/unknown-alg/stderr"] == (
         b"error: users[1]: field 'password_digest': digest alg must be 'pbkdf2-sha256'\n"

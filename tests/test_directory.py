@@ -135,6 +135,28 @@ class TestCreateUser:
             if raised is not None:
                 assert refusal.message == raised.message, candidate
 
+    # Each request breaks two or more rules; the first in the order answers:
+    # the actor, then the role and the administrator cap, then the id, then
+    # the password.
+    @pytest.mark.parametrize("actor, user_id, password, role, refusal", [
+        ("staffer", "bad id", "short", Role.OUTSIDER, NotAuthorized),
+        ("root", "staffer", "short", Role.OUTSIDER, InvalidArgument),
+        ("root", "bad id", "password1", Role.OUTSIDER, InvalidArgument),
+        ("root", "STAFFER", "password1", Role.ADMINISTRATOR, AdminCapExceeded),
+        ("root", "bad id", "short", Role.ADMINISTRATOR, AdminCapExceeded),
+        ("root", "bad id", "short", Role.STAFF, InvalidId),
+        ("root", "Staffer", "short", Role.STAFF, IdAlreadyExists),
+    ], ids=["actor", "outsider-taken-id", "outsider-bad-id", "cap-taken-id", "cap-bad-id", "id", "taken-id"])
+    def test_refusals_come_in_one_order_and_make_no_digest(
+        self, populated, monkeypatch, actor, user_id, password, role, refusal
+    ):
+        digests = []
+        monkeypatch.setattr(directory, "make_digest", digests.append)
+        monkeypatch.setattr(directory, "make_hint_digest", digests.append)
+        with pytest.raises(refusal):
+            populated.create_user(populated.principal_for(actor), user_id, password, role)
+        assert digests == []
+
 
 class TestSelfRegister:
     def test_disabled_by_default(self, gk):
@@ -167,6 +189,16 @@ class TestSelfRegister:
         gk.self_register("walkin", "password1")
         with pytest.raises(IdAlreadyExists):
             gk.self_register("WALKIN", "password1")
+
+    @pytest.mark.parametrize("mode, user_id, refusal", [
+        (SelfRegistrationMode.DISABLED, "bad id", SelfRegistrationDisabled),
+        (SelfRegistrationMode.AUTO_GUEST, "ROOT", IdAlreadyExists),
+        (SelfRegistrationMode.PENDING_APPROVAL, "bad id", InvalidId),
+    ], ids=["mode", "taken-id", "bad-id"])
+    def test_refusals_come_in_one_order(self, mode, user_id, refusal):
+        gk, _ = fresh(PolicyConfig(self_registration=mode))
+        with pytest.raises(refusal):
+            gk.self_register(user_id, "short")
 
 
 class TestSetRole:

@@ -553,6 +553,14 @@ class TestRecovery:
             populated.recover_complete("boss", "magenta")
         assert populated.login("boss", "password1")
 
+    @pytest.mark.parametrize("answer", ["", "   "], ids=["empty", "blank"])
+    def test_a_blank_answer_is_a_counted_mismatch(self, populated, answer):
+        with pytest.raises(HintMismatch):
+            populated.recover_complete("boss", answer)
+        assert populated.login("boss", "password1")
+        assert populated.audit_events(kind="recovery_failed")[-1].detail == {"user_id": "boss", "cause": "hint_mismatch"}
+        assert [u.recovery_failures for u in populated.snapshot.users if u.user_id == "boss"] == [1]
+
     def test_lockout_at_exactly_five_failures(self, populated):
         for i in range(RECOVERY_LOCK_THRESHOLD - 1):
             with pytest.raises(HintMismatch):

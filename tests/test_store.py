@@ -96,12 +96,14 @@ BAD_FIELDS = [
     (("grants", 0, "expiry"), "soon", "grants[0]: field 'expiry': not an RFC 3339 instant: 'soon'"),
     (("grants", 0, "level"), "admin", "grants[0]: grants never carry the admin level"),
     (("grants", 2, "granted_at"), 0, "grants[2]: field 'granted_at' must be a string"),
+    (("grants", 1, "grant_id"), "g1", "duplicate grant_id 'g1'"),
     (("resources", 0, "description"), 5, "resources[0]: field 'description' must be a string or null"),
     (("resources", 0, "resource_id"), "", "resources[0]: resource_id must not be empty"),
     (("resources", 4, "required_level"), "read",
      "resources[4]: admin-menu resources require the admin level and the admin level belongs only to admin-menu "
      "resources"),
     (("sessions", 0, "expires_at"), None, "sessions[0]: field 'expires_at' must be a string"),
+    (("sessions", 0, "expires_at"), "2026-06-01T15:59:59Z", "session expires before it was issued"),
     (("version",), "1", "document: field 'version' must be an integer"),
 ]
 

@@ -69,12 +69,19 @@ class TestLoginEndpoint:
         assert response.status == 400
 
     @pytest.mark.parametrize(
-        "body", [b"[" * 100_000 + b"]" * 100_000, b"{", b"\xff"], ids=["deeply-nested", "truncated", "not-utf8"]
+        "body, message",
+        [
+            (b"[" * 100_000 + b"]" * 100_000, "request body is not valid JSON"),
+            (b"{", "request body is not valid JSON"),
+            (b"\xff", "request body is not valid JSON"),
+            (b'["root", "rootpass1"]', "request body must be a JSON object"),
+        ],
+        ids=["deeply-nested", "truncated", "not-utf8", "not-an-object"],
     )
-    def test_malformed_body_is_400(self, service, body):
+    def test_malformed_body_is_400(self, service, body, message):
         response = service.handle(HttpRequest.make("POST", "/api/login", {}, body))
         assert response.status == 400
-        assert response.json() == {"error": "invalid_argument", "message": "request body is not valid JSON"}
+        assert response.json() == {"error": "invalid_argument", "message": message}
 
     def test_missing_fields_400(self, service):
         response = call(service, "POST", "/api/login", body={"user_id": "boss"})
@@ -386,6 +393,30 @@ class TestAdminEndpoints:
         response = call(service, "GET", "/api/admin/audit?limit=-1", token=token)
         assert response.status == 400
         assert response.json() == {"error": "invalid_argument", "message": "limit must be a non-negative integer"}
+
+    # parse_qs reads '+' as a space, so '+2' arrives as ' 2'.
+    @pytest.mark.parametrize("limit", ["%D9%A3", "1_0", "+2", "%202", "2%20", "abc", ""],
+                             ids=["arabic-indic-digit", "underscore", "plus", "leading-space", "trailing-space",
+                                  "word", "empty"])
+    def test_audit_limit_takes_ascii_digits_only(self, service, limit):
+        token = login(service, "root", "rootpass1")
+        response = call(service, "GET", f"/api/admin/audit?limit={limit}", token=token)
+        assert response.status == 400
+        assert response.json() == {"error": "invalid_argument", "message": "limit must be a non-negative integer"}
+
+    @pytest.mark.parametrize("target, body, message", [
+        ("/api/admin/users", {"user_id": "newbie", "password": "password1", "role": "staff", "hint_question": 5},
+         "field 'hint_question' must be a string"),
+        ("/api/admin/grants", {"user_id": "staffer", "resource_id": "monthly-report", "level": "read", "expiry": 5},
+         "field 'expiry' must be an RFC 3339 string or null"),
+    ], ids=["hint-question", "expiry"])
+    def test_a_field_of_the_wrong_type_is_400_and_commits_nothing(self, service, populated, target, body, message):
+        token = login(service, "root", "rootpass1")
+        before = populated.snapshot
+        response = call(service, "POST", target, token=token, body=body)
+        assert response.status == 400
+        assert response.json() == {"error": "invalid_argument", "message": message}
+        assert (populated.snapshot.users, populated.snapshot.grants) == (before.users, before.grants)
 
     def test_audit_endpoint_requires_admin(self, service):
         token = login(service, "staffer", "password1")

@@ -12,8 +12,9 @@ and the HTTP ``Date`` header.
 
 The cases are of four kinds:
 
-- ``cli/...``: CLI invocations through ``cli.execute``, with and without
-  ``--json``; outputs stdout, stderr and the exit code;
+- ``cli/...``, ``cli-kdf-env/...`` and ``cli-refusal-order/...``: CLI
+  invocations through ``cli.execute``, with and without ``--json``; outputs
+  stdout, stderr and the exit code;
 - ``http/...``: requests through ``PolicyService.handle``; outputs status,
   headers and body;
 - ``corrupt/...``: CLI commands against hand-broken store files;
@@ -113,6 +114,17 @@ KDF_ENV_CASES = [
     ("menu-cost-0", ["menu", "--now", T0], {"GATEKEEPER_KDF_COST": "0"}),
 ]
 
+# Requests that break two rules at once, on a store of their own: which
+# refusal answers shows the order user creation checks its rules in.
+REFUSAL_ORDER_CASES = [
+    ("bootstrap-bad-id-weak-password", ["bootstrap", "no spaces", "--password", "short", "--json", "--now", T0], {}),
+    ("bootstrap", ["bootstrap", "root", "--password", "rootpass1", "--now", T0], {}),
+    ("user-add-taken-id-outsider", ["user", "add", "ROOT", "--role", "outsider", "--password", "password1", "--json",
+                                    *ADMIN], {}),
+    ("user-add-taken-id-at-cap", ["user", "add", "root", "--role", "administrator", "--password", "password1",
+                                  *ADMIN], {}),
+]
+
 # (name, method, target, body or None, authenticated as root)
 HTTP_CASES = [
     ("menu-anonymous", "GET", "/api/menu", None, False),
@@ -141,6 +153,8 @@ HTTP_CASES = [
      False),
     ("audit", "GET", "/api/admin/audit?limit=5&kind=login_failed", None, True),
     ("audit-bad-limit", "GET", "/api/admin/audit?limit=-1", None, True),
+    ("audit-limit-arabic-indic-digit", "GET", "/api/admin/audit?limit=%D9%A3", None, True),
+    ("audit-limit-word", "GET", "/api/admin/audit?limit=abc", None, True),
     ("unknown-route", "GET", "/api/nowhere", None, False),
     ("wrong-method", "DELETE", "/api/menu", None, False),
     ("password-change", "POST", "/api/password/change", {"old_password": "rootpass1",
@@ -333,6 +347,7 @@ def run_cases() -> dict[str, bytes]:
     outputs: dict[str, bytes] = {}
     _cli_scenario(outputs, "cli", CLI_CASES, "cli.json")
     _cli_scenario(outputs, "cli-kdf-env", KDF_ENV_CASES, "kdf.json")
+    _cli_scenario(outputs, "cli-refusal-order", REFUSAL_ORDER_CASES, "order.json")
     _http_scenario(outputs)
     _corrupt_scenario(outputs)
     _socket_scenario(outputs)
