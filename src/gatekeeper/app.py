@@ -253,10 +253,10 @@ class Gatekeeper:
         return self._apply(lambda doc, now: directory.update_user(doc, actor, user_id, role, status))
 
     def set_role(self, actor: Principal, user_id: str, new_role: Role) -> UserRecord:
-        return self._apply(lambda doc, now: directory.set_role(doc, actor, user_id, new_role))
+        return self.update_user(actor, user_id, role=new_role)
 
     def set_status(self, actor: Principal, user_id: str, new_status: UserStatus) -> UserRecord:
-        return self._apply(lambda doc, now: directory.set_status(doc, actor, user_id, new_status))
+        return self.update_user(actor, user_id, status=new_status)
 
     def grant_special(
         self,

@@ -64,20 +64,14 @@ class Ctx:
             print(human, file=self.stdout)
 
 
-def _instant(text: str) -> datetime:
-    """argparse type for RFC 3339 options: a bad value is a usage error."""
-    try:
-        return parse_instant(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _count(text: str) -> int:
-    """argparse type for a non-negative integer: a bad value is a usage error."""
-    try:
-        return _parse_count(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _option(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """An argparse type from ``parse``: its ValueError is a usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _prompt_secret(label: str) -> str:
@@ -190,26 +184,15 @@ def cmd_user_list(args, ctx: Ctx) -> int:
     return 0
 
 
-def cmd_user_set_role(args, ctx: Ctx) -> int:
+def cmd_user_update(args, ctx: Ctx) -> int:
+    role = Role(args.role) if args.role else None
     with _as_admin(args, ctx) as (gk, actor):
-        record = gk.set_role(actor, args.user_id, Role(args.role))
-    ctx.emit(f"user '{record.user_id}' role is now {record.role.value}", public_user(record))
+        record = gk.update_user(actor, args.user_id, role=role, status=args.status)
+    if role is None:
+        ctx.emit(f"user '{record.user_id}' is now {record.status.value}", public_user(record))
+    else:
+        ctx.emit(f"user '{record.user_id}' role is now {record.role.value}", public_user(record))
     return 0
-
-
-def _set_status(args, ctx: Ctx, status: UserStatus) -> int:
-    with _as_admin(args, ctx) as (gk, actor):
-        record = gk.set_status(actor, args.user_id, status)
-    ctx.emit(f"user '{record.user_id}' is now {record.status.value}", public_user(record))
-    return 0
-
-
-def cmd_user_enable(args, ctx: Ctx) -> int:
-    return _set_status(args, ctx, UserStatus.ACTIVE)
-
-
-def cmd_user_disable(args, ctx: Ctx) -> int:
-    return _set_status(args, ctx, UserStatus.DISABLED)
 
 
 def cmd_grant_add(args, ctx: Ctx) -> int:
@@ -392,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--store", help=f"store file path (default: ${STORE_ENV})")
     common.add_argument("--json", action="store_true", help="emit one JSON document on stdout")
-    common.add_argument("--now", type=_instant, help="fixed RFC 3339 clock for this invocation")
+    common.add_argument("--now", type=_option(parse_instant), help="fixed RFC 3339 clock for this invocation")
     common.add_argument("--as", dest="as_user", metavar="USER_ID", help="acting administrator")
 
     parser = argparse.ArgumentParser(prog="gatekeeper", description="Role-based access control for MIS report sites.")
@@ -409,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=PolicyConfig.self_registration.value.replace("_", "-"),
         choices=_REGISTRATION_CHOICES,
     )
-    p.add_argument("--session-ttl", type=_count, default=PolicyConfig.session_ttl_seconds)
+    p.add_argument("--session-ttl", type=_option(_parse_count), default=PolicyConfig.session_ttl_seconds)
     p.add_argument("--no-self-password-change", action="store_true")
     p.add_argument("--no-log-denials", action="store_true")
     p.set_defaults(func=cmd_bootstrap)
@@ -429,20 +412,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = user.add_parser("set-role", parents=[common])
     p.add_argument("user_id")
     p.add_argument("--role", required=True, choices=_ROLE_CHOICES)
-    p.set_defaults(func=cmd_user_set_role)
-    p = user.add_parser("enable", parents=[common])
-    p.add_argument("user_id")
-    p.set_defaults(func=cmd_user_enable)
-    p = user.add_parser("disable", parents=[common])
-    p.add_argument("user_id")
-    p.set_defaults(func=cmd_user_disable)
+    p.set_defaults(func=cmd_user_update, status=None)
+    for name, status in (("enable", UserStatus.ACTIVE), ("disable", UserStatus.DISABLED)):
+        p = user.add_parser(name, parents=[common])
+        p.add_argument("user_id")
+        p.set_defaults(func=cmd_user_update, role=None, status=status)
 
     grant = sub.add_parser("grant", help="special grants").add_subparsers(dest="subcommand", required=True)
     p = grant.add_parser("add", parents=[common])
     p.add_argument("user_id")
     p.add_argument("resource_id")
     p.add_argument("--level", required=True, choices=_LEVEL_CHOICES)
-    p.add_argument("--expires", type=_instant, help="RFC 3339 expiry (grant lives until this instant inclusive)")
+    p.add_argument("--expires", type=_option(parse_instant),
+                   help="RFC 3339 expiry (grant lives until this instant inclusive)")
     p.set_defaults(func=cmd_grant_add)
     p = grant.add_parser("revoke", parents=[common])
     p.add_argument("grant_id")
@@ -492,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", help="audit log").add_subparsers(dest="subcommand", required=True)
     p = audit.add_parser("tail", parents=[common])
-    p.add_argument("-n", "--lines", type=_count, default=10)
+    p.add_argument("-n", "--lines", type=_option(_parse_count), default=10)
     p.add_argument("--kind")
     p.add_argument("--actor")
     p.set_defaults(func=cmd_audit_tail)

@@ -233,8 +233,9 @@ def update_user(
     return new_doc, updated, entries
 
 
-# The single-field forms serve the CLI, and bench/tracer.py patches these
-# names (and the façade methods of the same name) where they are looked up.
+# Nothing in the package calls these single-field forms, or the façade
+# methods of the same name: they remain only because bench/tracer.py patches
+# them, until a change that may edit the tracer deletes them (ROADMAP item 6).
 def set_role(doc: StoreDocument, actor: Principal, user_id: str, new_role: Role) -> MutationResult:
     return update_user(doc, actor, user_id, role=new_role)
 

@@ -79,19 +79,16 @@ def login(
     """Verify credentials and issue a session.
 
     Every failure surfaces as the same AuthFailed; the audit entry carries
-    the internal cause.  Unknown users still pay for one digest
-    verification, so timing does not reveal which ids exist.
+    the internal cause: unknown user, bad password, then disabled or
+    pending.  Every attempt pays for exactly one digest verification, an
+    unknown user's against a dummy, so timing does not reveal which ids
+    exist.
     """
     user = find_user(doc, user_id)
-    if user is None:
-        verify_secret(password, dummy_digest())
-        return None, AuthFailed(), (_login_failed(user_id, "unknown_user"),)
-    if not verify_secret(password, user.password_digest):
-        return None, AuthFailed(), (_login_failed(user_id, "bad_password"),)
-    if user.status is UserStatus.DISABLED:
-        return None, AuthFailed(), (_login_failed(user_id, "disabled"),)
-    if user.status is UserStatus.PENDING:
-        return None, AuthFailed(), (_login_failed(user_id, "pending"),)
+    verified = verify_secret(password, dummy_digest() if user is None else user.password_digest)
+    if user is None or not verified or user.status is not UserStatus.ACTIVE:
+        cause = "unknown_user" if user is None else "bad_password" if not verified else user.status.value
+        return None, AuthFailed(), (_login_failed(user_id, cause),)
 
     session = _issue_session(doc, user, now)
     new_doc = replace(doc, sessions=doc.sessions + (session,))

@@ -333,6 +333,11 @@ class _Handler(BaseHTTPRequestHandler):
         raw_length = (self.headers.get("Content-Length") or "0").strip()
         if "Transfer-Encoding" in self.headers:
             return self.send_error(400, "Transfer-Encoding is not supported; send Content-Length")
+        # headers.get reads the first copy of a header and the dict below keeps
+        # the last, so a repeat of either is refused rather than read two ways.
+        for name in ("Content-Length", "Authorization"):
+            if len(self.headers.get_all(name, ())) > 1:
+                return self.send_error(400, f"{name} must not be repeated")
         try:
             length = _parse_count(raw_length)
         except ValueError:

@@ -169,6 +169,21 @@ class TestUserCommands:
         code, out, _ = run(admin_args(["user", "enable", "rjones"]), booted)
         assert code == 0 and "active" in out
 
+    def test_update_commands_print_their_line_or_the_public_record(self, booted):
+        run(admin_args(["user", "add", "rjones", "--role", "staff", "--password", "password1"]), booted)
+        record = {"created_at": T0, "created_by": "root", "hint_question": "", "recovery_locked": False,
+                  "user_id": "rjones"}
+        steps = [
+            (["set-role", "rjones", "--role", "manager"], "user 'rjones' role is now manager", "manager", "active"),
+            (["disable", "rjones"], "user 'rjones' is now disabled", "manager", "disabled"),
+            (["enable", "rjones"], "user 'rjones' is now active", "manager", "active"),
+        ]
+        for command, line, role, status in steps:
+            assert run(admin_args(["user", *command]), booted) == (0, line + "\n", "")
+            code, out, err = run(admin_args(["user", *command, "--json"]), booted)
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {**record, "role": role, "status": status}
+
     def test_wrong_admin_password_fails_auth(self, booted):
         bad = dict(booted, GATEKEEPER_PASSWORD="wrong-password")
         code, _, err = run(["user", "add", "rjones", "--role", "staff", "--password", "password1", "--as", "root"], bad)
@@ -206,6 +221,21 @@ class TestResourceAndGrantCommands:
         code, out, _ = run(["resource", "list", "--json"], booted)
         panel = [r for r in json.loads(out)["resources"] if r["resource_id"] == "panel"][0]
         assert panel["required_level"] == "admin"
+
+    def test_an_explicit_level_is_stored(self, booted):
+        add = ["resource", "add", "handbook", "--class", "general", "--group", "staff-menu", "--level", "write"]
+        code, out, err = run(admin_args([*add, "--json"]), booted)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["required_level"] == "write"
+        assert load(booted["GATEKEEPER_STORE"]).resources[0].required_level is AccessLevel.WRITE
+
+    def test_a_level_the_group_refuses_is_a_domain_error(self, booted):
+        add = ["resource", "add", "panel", "--class", "sensitive", "--group", "admin-menu", "--level", "read"]
+        assert run(admin_args(add), booted) == (1, "", (
+            "error: admin-menu resources require the admin level "
+            "and the admin level belongs only to admin-menu resources\n"
+        ))
+        assert load(booted["GATEKEEPER_STORE"]).resources == ()
 
     def test_grant_lifecycle(self, booted):
         self._site(booted)
@@ -357,6 +387,11 @@ class TestAuditCommand:
         code, out, _ = run(["audit", "tail", "--kind", "login_failed", "--json"], booted)
         events = json.loads(out)["events"]
         assert events and all(e["kind"] == "login_failed" for e in events)
+
+    def test_a_missing_audit_file_is_an_empty_log(self, booted):
+        os.remove(audit_path_for(booted["GATEKEEPER_STORE"]))
+        assert run(["audit", "tail"], booted) == (0, "(no events)\n", "")
+        assert run(["audit", "tail", "--json"], booted) == (0, '{"events": []}\n', "")
 
     def test_seq_is_gap_free_across_invocations(self, booted):
         run(admin_args(["user", "add", "rjones", "--role", "staff", "--password", "password1"]), booted)

@@ -80,10 +80,14 @@ class TestLogin:
         with pytest.raises(AuthFailed):
             gk.login("walkin", "password1")
 
-    @pytest.mark.parametrize("user_id, password", [
-        ("ghost", "password1"), ("staffer", "wrong-password"), ("visitor", "password1"), ("walkin", "password1"),
-    ], ids=["unknown", "bad-password", "disabled", "pending"])
-    def test_each_failure_pays_one_digest_at_the_default_cost(self, monkeypatch, user_id, password):
+    @pytest.mark.parametrize("user_id, password, cause", [
+        ("ghost", "password1", "unknown_user"),
+        ("staffer", "wrong-password", "bad_password"),
+        ("visitor", "password1", "disabled"),
+        ("walkin", "password1", "pending"),
+        ("visitor", "wrong-password", "bad_password"),  # the password is checked before the status
+    ], ids=["unknown", "bad-password", "disabled", "pending", "disabled-bad-password"])
+    def test_each_failure_pays_one_digest_at_the_default_cost(self, monkeypatch, user_id, password, cause):
         from gatekeeper import credentials, sessions
         from gatekeeper.model import SelfRegistrationMode
 
@@ -99,6 +103,7 @@ class TestLogin:
         with pytest.raises(AuthFailed):
             gk.login(user_id, password)
         assert [digest.cost for digest in verified] == [credentials.DEFAULT_COST]
+        assert [e.detail for e in gk.audit_events(kind="login_failed")] == [{"user_id": user_id, "cause": cause}]
 
     def test_login_is_case_insensitive_on_user_id(self, populated):
         session = populated.login("BOSS", "password1")

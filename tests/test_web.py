@@ -83,6 +83,13 @@ class TestLoginEndpoint:
         assert response.status == 400
         assert response.json() == {"error": "invalid_argument", "message": message}
 
+    def test_an_empty_body_is_missing_its_fields(self, service):
+        response = service.handle(HttpRequest.make("POST", "/api/login"))
+        assert response.status == 400
+        assert response.json() == {
+            "error": "invalid_argument", "message": "field 'user_id' is required and must be a string",
+        }
+
     def test_missing_fields_400(self, service):
         response = call(service, "POST", "/api/login", body={"user_id": "boss"})
         assert response.status == 400
@@ -711,6 +718,27 @@ class TestLiveServer:
         assert head.split()[1] == str(status).encode()
         assert b"connection: close" in head.lower()
         assert json.loads(body)["error"] == code
+
+    _LOGIN = b'{"user_id": "boss", "password": "password1"}'
+    _SMUGGLED = b"GET /api/admin/users HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
+
+    @pytest.mark.parametrize(
+        "request_bytes, name",
+        [
+            (b"POST /api/login HTTP/1.1\r\nHost: localhost\r\nContent-Length: %d\r\ncontent-length: %d\r\n\r\n"
+             % (len(_LOGIN), len(_LOGIN + _SMUGGLED)) + _LOGIN + _SMUGGLED, "Content-Length"),
+            (b"GET /api/menu HTTP/1.1\r\nHost: localhost\r\nAuthorization: Bearer one\r\n"
+             b"Authorization: Bearer two\r\nConnection: close\r\n\r\n", "Authorization"),
+        ],
+        ids=["content-length", "authorization"],
+    )
+    def test_a_repeated_header_is_answered_and_closed(self, live_port, request_bytes, name):
+        reply = exchange(live_port, request_bytes)
+        assert reply.count(b"HTTP/1.1 ") == 1  # nothing after the headers is read as a second request
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert b"connection: close" in head.lower()
+        assert json.loads(body) == {"error": "invalid_argument", "message": f"{name} must not be repeated"}
 
     def test_transfer_encoding_is_answered_and_closed(self, live_port):
         body = json.dumps({"user_id": "boss", "password": "password1"}).encode()

@@ -209,6 +209,14 @@ SOCKET_CASES = [
     ("content-length-negative", b"POST /api/login HTTP/1.1\r\nHost: x\r\nContent-Length: -1\r\n\r\n"),
     ("content-length-over-cap", b"POST /api/login HTTP/1.1\r\nHost: x\r\nContent-Length: 9999999\r\n\r\n"),
     ("transfer-encoding", b"POST /api/login HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"),
+    # A repeated header is refused before any body is read.  Were the first
+    # Content-Length believed, the rest of this body would be read as a second
+    # request.  No request here changes the store, whether refused or answered.
+    ("content-length-repeated", b"POST /api/login HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n"
+                                b"Content-Length: 63\r\n\r\n"
+                                b"{}GET /api/admin/users HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"),
+    ("authorization-repeated", b"GET /api/menu HTTP/1.1\r\nHost: x\r\nAuthorization: Bearer one\r\n"
+                               b"Authorization: Bearer two\r\nConnection: close\r\n\r\n"),
     ("malformed-request-line", b"GARBAGE\r\n\r\n"),
     ("bad-version", b"GET /api/menu HTTP/9.9\r\nHost: x\r\n\r\n"),
 ]
