@@ -162,15 +162,6 @@ class TestUserCommands:
 
     def test_set_role_enable_disable(self, booted):
         run(admin_args(["user", "add", "rjones", "--role", "staff", "--password", "password1"]), booted)
-        code, out, _ = run(admin_args(["user", "set-role", "rjones", "--role", "manager"]), booted)
-        assert code == 0 and "manager" in out
-        code, out, _ = run(admin_args(["user", "disable", "rjones"]), booted)
-        assert code == 0 and "disabled" in out
-        code, out, _ = run(admin_args(["user", "enable", "rjones"]), booted)
-        assert code == 0 and "active" in out
-
-    def test_update_commands_print_their_line_or_the_public_record(self, booted):
-        run(admin_args(["user", "add", "rjones", "--role", "staff", "--password", "password1"]), booted)
         record = {"created_at": T0, "created_by": "root", "hint_question": "", "recovery_locked": False,
                   "user_id": "rjones"}
         steps = [
