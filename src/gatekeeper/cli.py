@@ -4,7 +4,8 @@ Commands cover the full lifecycle: store bootstrap, user management, grants,
 resources, decision queries, menu projection, login simulation, password
 flows, audit inspection, and serving the HTTP API.
 
-Administrative commands authenticate with ``--as <user_id>`` plus a password
+The administrative commands and ``passwd change`` require ``--as <user_id>``,
+and no other command accepts it.  They log that user in with a password
 taken from GATEKEEPER_PASSWORD (or an interactive prompt); the CLI goes
 through the same login path as the service and never bypasses authorization.
 Exit codes: 0 success, 1 domain error, 2 usage error.
@@ -30,7 +31,6 @@ from .engine import ANONYMOUS, Principal
 from .errors import GatekeeperError, IoFailure
 from .model import AccessLevel, DataClass, MenuGroup, PolicyConfig, Resource, Role, SelfRegistrationMode, UserStatus
 from .store import format_instant, parse_instant, store_lock, to_wire
-from .web import make_server
 from .wire import _parse_count, decision_wire, menu_wire, public_user
 
 STORE_ENV = "GATEKEEPER_STORE"
@@ -107,17 +107,11 @@ def _locked(ctx: Ctx) -> Iterator[Gatekeeper]:
         yield _open(ctx)
 
 
-def _acting_user(args) -> str:
-    if not args.as_user:
-        raise UsageError("--as <user_id> is required for this command")
-    return args.as_user
-
-
 @contextlib.contextmanager
 def _as_admin(args, ctx: Ctx) -> Iterator[tuple[Gatekeeper, Principal]]:
     """Read the acting administrator's password, then take the store lock and
     log them in; yield the engine and their principal, then log out."""
-    password = _auth_password(ctx, _acting_user(args))
+    password = _auth_password(ctx, args.as_user)
     with _locked(ctx) as gk:
         session = gk.login(args.as_user, password)
         try:
@@ -296,7 +290,7 @@ def cmd_login(args, ctx: Ctx) -> int:
 
 
 def cmd_passwd_change(args, ctx: Ctx) -> int:
-    old_password = _auth_password(ctx, _acting_user(args))
+    old_password = _auth_password(ctx, args.as_user)
     new_password = args.new_password if args.new_password is not None else _prompt_secret("new password: ")
     with _locked(ctx) as gk:
         session = gk.login(args.as_user, old_password)
@@ -341,6 +335,7 @@ def cmd_serve(args, ctx: Ctx) -> int:
             raise ValueError(args.bind)
     except ValueError:
         raise UsageError("--bind must look like HOST:PORT") from None
+    from .web import make_server  # only serve loads the HTTP stack
     gk = _open(ctx)
     try:
         server = make_server(gk, host, port)
@@ -376,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--store", help=f"store file path (default: ${STORE_ENV})")
     common.add_argument("--json", action="store_true", help="emit one JSON document on stdout")
     common.add_argument("--now", type=_option(parse_instant), help="fixed RFC 3339 clock for this invocation")
-    common.add_argument("--as", dest="as_user", metavar="USER_ID", help="acting administrator")
+    acting = argparse.ArgumentParser(add_help=False, parents=[common])
+    acting.add_argument("--as", dest="as_user", metavar="USER_ID", required=True, help="acting user")
 
     parser = argparse.ArgumentParser(prog="gatekeeper", description="Role-based access control for MIS report sites.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -398,42 +394,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bootstrap)
 
     user = sub.add_parser("user", help="user management").add_subparsers(dest="subcommand", required=True)
-    p = user.add_parser("add", parents=[common])
+    p = user.add_parser("add", parents=[acting])
     p.add_argument("user_id")
     p.add_argument("--role", required=True, choices=_ROLE_CHOICES)
     p.add_argument("--password")
     p.add_argument("--hint-question", default="")
     p.add_argument("--hint-answer", default="")
     p.set_defaults(func=cmd_user_add)
-    p = user.add_parser("list", parents=[common])
+    p = user.add_parser("list", parents=[acting])
     p.add_argument("--role", choices=_ROLE_CHOICES)
     p.add_argument("--status", choices=[s.value for s in UserStatus])
     p.set_defaults(func=cmd_user_list)
-    p = user.add_parser("set-role", parents=[common])
+    p = user.add_parser("set-role", parents=[acting])
     p.add_argument("user_id")
     p.add_argument("--role", required=True, choices=_ROLE_CHOICES)
     p.set_defaults(func=cmd_user_update, status=None)
     for name, status in (("enable", UserStatus.ACTIVE), ("disable", UserStatus.DISABLED)):
-        p = user.add_parser(name, parents=[common])
+        p = user.add_parser(name, parents=[acting])
         p.add_argument("user_id")
         p.set_defaults(func=cmd_user_update, role=None, status=status)
 
     grant = sub.add_parser("grant", help="special grants").add_subparsers(dest="subcommand", required=True)
-    p = grant.add_parser("add", parents=[common])
+    p = grant.add_parser("add", parents=[acting])
     p.add_argument("user_id")
     p.add_argument("resource_id")
     p.add_argument("--level", required=True, choices=_LEVEL_CHOICES)
     p.add_argument("--expires", type=_option(parse_instant),
                    help="RFC 3339 expiry (grant lives until this instant inclusive)")
     p.set_defaults(func=cmd_grant_add)
-    p = grant.add_parser("revoke", parents=[common])
+    p = grant.add_parser("revoke", parents=[acting])
     p.add_argument("grant_id")
     p.set_defaults(func=cmd_grant_revoke)
-    p = grant.add_parser("list", parents=[common])
+    p = grant.add_parser("list", parents=[acting])
     p.set_defaults(func=cmd_grant_list)
 
     resource = sub.add_parser("resource", help="protected resources").add_subparsers(dest="subcommand", required=True)
-    p = resource.add_parser("add", parents=[common])
+    p = resource.add_parser("add", parents=[acting])
     p.add_argument("resource_id")
     p.add_argument("--name", help="display name (defaults to the id)")
     p.add_argument("--class", dest="data_class", required=True, choices=_CLASS_CHOICES)
@@ -461,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_login)
 
     passwd = sub.add_parser("passwd", help="password self-service").add_subparsers(dest="subcommand", required=True)
-    p = passwd.add_parser("change", parents=[common])
+    p = passwd.add_parser("change", parents=[acting])
     p.add_argument("--new-password")
     p.set_defaults(func=cmd_passwd_change)
     p = passwd.add_parser("recover-begin", parents=[common])

@@ -253,6 +253,8 @@ _FIELDS = {
 # The document's record lists, in decode order.
 _RECORD_LISTS = {"users": UserRecord, "grants": SpecialGrant, "resources": Resource, "sessions": Session}
 
+_KEYS = {record_type: frozenset(key for key, _, _ in fields) for record_type, fields in _FIELDS.items()}
+
 
 def to_wire(record) -> dict:
     """The stored JSON form of any record in ``_FIELDS``."""
@@ -272,6 +274,16 @@ def _from_wire(record_type, obj, where: str):
         return record_type(**values)
     except InvalidArgument as exc:  # a per-record invariant of ``model``
         raise _fail(where, exc.message) from None
+
+
+def _stored_from_wire(record_type, obj, where: str):
+    """``_from_wire`` for the store document, refusing keys outside the field
+    table.  Audit lines skip this, so a field added later hides no line."""
+    record = _from_wire(record_type, obj, where)
+    known = _KEYS[record_type]
+    if not obj.keys() <= known:
+        raise _fail(where, f"unknown keys: {sorted(obj.keys() - known)}")
+    return record
 
 
 def document_to_wire(doc: StoreDocument) -> dict:
@@ -298,13 +310,13 @@ def document_from_wire(data) -> StoreDocument:
     unknown = set(top) - {"version", "config", *_RECORD_LISTS}
     if unknown:
         raise _fail("document", f"unknown top-level keys: {sorted(unknown)}")
-    config = _from_wire(PolicyConfig, top.get("config"), "config")
+    config = _stored_from_wire(PolicyConfig, top.get("config"), "config")
     records = {}
     for key, record_type in _RECORD_LISTS.items():
         items = top.get(key)
         if not isinstance(items, list):
             raise _fail(key, "expected a list")
-        records[key] = tuple(_from_wire(record_type, obj, f"{key}[{i}]") for i, obj in enumerate(items))
+        records[key] = tuple(_stored_from_wire(record_type, obj, f"{key}[{i}]") for i, obj in enumerate(items))
     return StoreDocument(config=config, **records)
 
 
@@ -402,7 +414,9 @@ def save(doc: StoreDocument, path: str | Path) -> None:
         target.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
         try:
-            os.write(fd, payload)
+            written = 0
+            while written < len(payload):  # a write may take less than it is given
+                written += os.write(fd, payload[written:])
             os.fsync(fd)
         finally:
             os.close(fd)

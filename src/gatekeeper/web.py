@@ -117,7 +117,9 @@ class PolicyService:
             return _respond(405, {"error": "method_not_allowed", "message": "method not allowed for this path"})
         return _respond(404, {"error": "not_found", "message": "no such endpoint"})
 
-    def _body(self, request: HttpRequest) -> dict:
+    def _body(self, request: HttpRequest, *fields: str) -> dict:
+        """The request's JSON object, whose keys must be among ``fields``, the
+        names its handler reads: a misspelt field is refused, not ignored."""
         if not request.body:
             return {}
         try:
@@ -126,6 +128,9 @@ class PolicyService:
             raise InvalidArgument("request body is not valid JSON") from None
         if not isinstance(data, dict):
             raise InvalidArgument("request body must be a JSON object")
+        unknown = data.keys() - fields
+        if unknown:
+            raise InvalidArgument(f"unknown fields: {sorted(unknown)}")
         return data
 
     def _want(self, body: dict, key: str) -> str:
@@ -191,7 +196,7 @@ class PolicyService:
     # -- open endpoints ------------------------------------------------------
 
     def _login(self, request: HttpRequest) -> HttpResponse:
-        body = self._body(request)
+        body = self._body(request, "user_id", "password")
         session = self.gatekeeper.login(self._want(body, "user_id"), self._want(body, "password"))
         return _respond(200, to_wire(session))
 
@@ -226,7 +231,7 @@ class PolicyService:
         return _respond(200, to_wire(resource))
 
     def _register(self, request: HttpRequest) -> HttpResponse:
-        body = self._body(request)
+        body = self._body(request, "user_id", "password", "hint_question", "hint_answer")
         record = self.gatekeeper.self_register(
             self._want(body, "user_id"),
             self._want(body, "password"),
@@ -237,17 +242,17 @@ class PolicyService:
 
     def _password_change(self, request: HttpRequest) -> HttpResponse:
         token = self._required_token(request)
-        body = self._body(request)
+        body = self._body(request, "old_password", "new_password")
         self.gatekeeper.change_password(token, self._want(body, "old_password"), self._want(body, "new_password"))
         return _respond(200, {"ok": True})
 
     def _recover_begin(self, request: HttpRequest) -> HttpResponse:
-        body = self._body(request)
+        body = self._body(request, "user_id")
         question = self.gatekeeper.recover_begin(self._want(body, "user_id"))
         return _respond(200, {"hint_question": question})
 
     def _recover_complete(self, request: HttpRequest) -> HttpResponse:
-        body = self._body(request)
+        body = self._body(request, "user_id", "hint_answer")
         password = self.gatekeeper.recover_complete(self._want(body, "user_id"), self._want(body, "hint_answer"))
         return _respond(200, {"password": password})
 
@@ -255,7 +260,7 @@ class PolicyService:
 
     def _admin_create_user(self, request: HttpRequest) -> HttpResponse:
         actor = self._authenticated(request)
-        body = self._body(request)
+        body = self._body(request, "user_id", "password", "role", "hint_question", "hint_answer")
         record = self.gatekeeper.create_user(
             actor,
             self._want(body, "user_id"),
@@ -278,14 +283,14 @@ class PolicyService:
 
     def _admin_patch_user(self, request: HttpRequest, user_id: str) -> HttpResponse:
         actor = self._authenticated(request)
-        body = self._body(request)
+        body = self._body(request, "role", "status")
         role = self._parse_enum(Role, self._want(body, "role"), "role") if "role" in body else None
         status = self._parse_enum(UserStatus, self._want(body, "status"), "status") if "status" in body else None
         return _respond(200, public_user(self.gatekeeper.update_user(actor, user_id, role, status)))
 
     def _admin_create_grant(self, request: HttpRequest) -> HttpResponse:
         actor = self._authenticated(request)
-        body = self._body(request)
+        body = self._body(request, "user_id", "resource_id", "level", "expiry")
         grant = self.gatekeeper.grant_special(
             actor,
             self._want(body, "user_id"),
@@ -330,6 +335,11 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     def _dispatch(self):
+        # The stdlib parser stops at a line it cannot read as a header (a space
+        # before the colon, no name) and glues an obs-fold onto the value above:
+        # a Content-Length sent may go unread, and the body read as a request.
+        if self.headers.defects or any("\n" in value for value in self.headers.values()):
+            return self.send_error(400, "malformed header line")
         raw_length = (self.headers.get("Content-Length") or "0").strip()
         if "Transfer-Encoding" in self.headers:
             return self.send_error(400, "Transfer-Encoding is not supported; send Content-Length")

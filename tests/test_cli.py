@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from gatekeeper import app, cli, credentials
+from gatekeeper import app, cli, credentials, web
 from gatekeeper.app import Gatekeeper
 from gatekeeper.cli import execute
 from gatekeeper.engine import ANONYMOUS
@@ -398,9 +398,66 @@ class TestUsageErrors:
         assert code == 2
 
     def test_missing_store(self):
-        code, _, err = run(["user", "list"], {"GATEKEEPER_PASSWORD": "x"})
+        code, _, err = run(["user", "list", "--as", "root"], {"GATEKEEPER_PASSWORD": "x"})
         assert code == 2
         assert "GATEKEEPER_STORE" in err
+
+    # Every command that logs no user in.  `serve` gets a bind it refuses, so
+    # that no server starts whatever its options.
+    UNACTING = [
+        ["bootstrap", "root2", "--password", "rootpass1"],
+        ["resource", "list"],
+        ["check", "--resource", "ghost", "--level", "read"],
+        ["menu"],
+        ["login", "root", "--password", "rootpass1"],
+        ["passwd", "recover-begin", "root"],
+        ["passwd", "recover-complete", "root", "--answer", "rex"],
+        ["audit", "tail"],
+        ["serve", "--bind", "nowhere"],
+    ]
+
+    @pytest.mark.parametrize("args", UNACTING, ids=["bootstrap", "resource-list", "check", "menu", "login",
+                                                     "recover-begin", "recover-complete", "audit-tail", "serve"])
+    def test_a_command_that_logs_no_user_in_refuses_as(self, booted, args):
+        store = Path(booted["GATEKEEPER_STORE"])
+        before = store.read_bytes(), audit_path_for(store).read_bytes()
+        code, out, err = run([*args, "--as", "root", "--now", T0], booted)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --as root\n")
+        assert (store.read_bytes(), audit_path_for(store).read_bytes()) == before
+
+    @pytest.mark.parametrize("args", [
+        ["user", "add", "ann", "--role", "staff"],
+        ["user", "list"],
+        ["user", "set-role", "root", "--role", "staff"],
+        ["user", "enable", "root"],
+        ["user", "disable", "root"],
+        ["grant", "add", "root", "page", "--level", "read"],
+        ["grant", "revoke", "g1"],
+        ["grant", "list"],
+        ["resource", "add", "page", "--class", "public", "--group", "public-pages"],
+        ["passwd", "change"],
+    ], ids=lambda args: "-".join(args[:2]))
+    def test_a_command_that_logs_a_user_in_requires_as_before_any_prompt(self, booted, monkeypatch, args):
+        def prompt(label):
+            raise AssertionError(f"prompted for {label!r}")
+
+        monkeypatch.setattr(cli, "_prompt_secret", prompt)
+        env = {k: v for k, v in booted.items() if k != "GATEKEEPER_PASSWORD"}
+        code, out, err = run(args, env)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: the following arguments are required: --as\n")
+
+    def test_only_serve_loads_the_http_stack(self):
+        import subprocess
+
+        import gatekeeper
+
+        package_root = str(Path(gatekeeper.__file__).resolve().parent.parent)
+        probe = "import sys, gatekeeper.cli; print(sorted({'http.server', 'gatekeeper.web'} & set(sys.modules)))"
+        done = subprocess.run([sys.executable, "-c", probe], env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"
 
     def test_bad_level_choice(self, booted):
         code, _, _ = run(["check", "--resource", "x", "--level", "frob"], booted)
@@ -591,7 +648,7 @@ class TestServeCommand:
         def unreachable(*args):
             raise AssertionError("the server must not be started")
 
-        monkeypatch.setattr(cli, "make_server", unreachable)
+        monkeypatch.setattr(web, "make_server", unreachable)
         code, out, err = run(["serve", "--bind", bind], booted)
         assert (code, out, err) == (2, "", "error: --bind must look like HOST:PORT\n")
 

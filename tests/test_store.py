@@ -105,6 +105,12 @@ BAD_FIELDS = [
     (("sessions", 0, "expires_at"), None, "sessions[0]: field 'expires_at' must be a string"),
     (("sessions", 0, "expires_at"), "2026-06-01T15:59:59Z", "session expires before it was issued"),
     (("version",), "1", "document: field 'version' must be an integer"),
+    # A misspelt key is refused, not read as the absent field it stands for.
+    (("grants", 0, "expires"), "2026-07-01T12:00:00Z", "grants[0]: unknown keys: ['expires']"),
+    (("users", 1, "recovery_failure"), 3, "users[1]: unknown keys: ['recovery_failure']"),
+    (("config", "log_denial"), False, "config: unknown keys: ['log_denial']"),
+    (("sessions", 0, "expires"), None, "sessions[0]: unknown keys: ['expires']"),
+    (("resources", 0, "level"), "read", "resources[0]: unknown keys: ['level']"),
 ]
 
 
@@ -621,6 +627,15 @@ class TestAtomicSave:
             save(make_doc(users=[make_user("ann")]), path)
         monkeypatch.undo()
         assert path.read_bytes() == before
+
+    def test_a_short_write_is_resumed(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.json"
+        doc = make_doc(users=[make_user("ann")])
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:100]))
+        save(doc, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == serialize_document(doc)
 
     def test_validation_failure_never_touches_disk(self, tmp_path):
         path = tmp_path / "store.json"

@@ -419,6 +419,23 @@ class TestAdminEndpoints:
         assert response.json() == {"error": "invalid_argument", "message": message}
         assert (populated.snapshot.users, populated.snapshot.grants) == (before.users, before.grants)
 
+    @pytest.mark.parametrize("method, target, body, message", [
+        ("POST", "/api/admin/grants", {"user_id": "staffer", "resource_id": "monthly-report", "level": "read",
+                                       "expires": "2026-07-01T12:00:00Z"}, "unknown fields: ['expires']"),
+        ("PATCH", "/api/admin/users/staffer", {"role": "manager", "stauts": "disabled"},
+         "unknown fields: ['stauts']"),
+        ("POST", "/api/login", {"user_id": "root", "password": "rootpass1", "z": 1, "a": 2},
+         "unknown fields: ['a', 'z']"),
+    ], ids=["grant-expires", "patch-stauts", "login-two"])
+    def test_an_unknown_field_is_400_and_commits_nothing(self, service, populated, method, target, body, message):
+        token = login(service, "root", "rootpass1")
+        before, events_before = populated.snapshot, populated.audit_events()
+        response = call(service, method, target, token=token, body=body)
+        assert response.status == 400
+        assert response.json() == {"error": "invalid_argument", "message": message}
+        assert (populated.snapshot.users, populated.snapshot.grants) == (before.users, before.grants)
+        assert populated.audit_events() == events_before
+
     def test_audit_endpoint_requires_admin(self, service):
         token = login(service, "staffer", "password1")
         assert call(service, "GET", "/api/admin/audit", token=token).status == 403
@@ -733,6 +750,20 @@ class TestLiveServer:
         assert head.split()[1] == b"400"
         assert b"connection: close" in head.lower()
         assert json.loads(body) == {"error": "invalid_argument", "message": f"{name} must not be repeated"}
+
+    # Without the refusal the stdlib reads no Content-Length from either, and
+    # the body is answered as a second request.
+    @pytest.mark.parametrize("header", [b"Content-Length : %d" % len(_SMUGGLED),
+                                        b"X-A: 1\r\n Content-Length: %d" % len(_SMUGGLED)],
+                             ids=["whitespace-before-colon", "obs-fold"])
+    def test_a_malformed_header_line_is_answered_and_closed(self, live_port, header):
+        reply = exchange(live_port, b"POST /api/logout HTTP/1.1\r\nHost: localhost\r\n" + header + b"\r\n\r\n"
+                         + self._SMUGGLED)
+        assert reply.count(b"HTTP/1.1 ") == 1
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert b"connection: close" in head.lower()
+        assert json.loads(body) == {"error": "invalid_argument", "message": "malformed header line"}
 
     def test_transfer_encoding_is_answered_and_closed(self, live_port):
         body = json.dumps({"user_id": "boss", "password": "password1"}).encode()

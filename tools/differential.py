@@ -12,9 +12,9 @@ and the HTTP ``Date`` header.
 
 The cases are of four kinds:
 
-- ``cli/...``, ``cli-kdf-env/...`` and ``cli-refusal-order/...``: CLI
-  invocations through ``cli.execute``, with and without ``--json``; outputs
-  stdout, stderr and the exit code;
+- ``cli/...``, ``cli-kdf-env/...``, ``cli-refusal-order/...`` and
+  ``cli-unread-as/...``: CLI invocations through ``cli.execute``, with and
+  without ``--json``; outputs stdout, stderr and the exit code;
 - ``http/...``: requests through ``PolicyService.handle``; outputs status,
   headers and body;
 - ``corrupt/...``: CLI commands against hand-broken store files;
@@ -125,6 +125,17 @@ REFUSAL_ORDER_CASES = [
                                   *ADMIN], {}),
 ]
 
+# ``--as`` on commands that log no user in, on a store of its own: a tree
+# that accepts and ignores it answers, and audits, as someone else.
+UNREAD_AS_CASES = [
+    ("bootstrap", ["bootstrap", "root", "--password", "rootpass1", "--now", T0], {}),
+    ("user-add", ["user", "add", "alice", "--role", "manager", "--password", "password1", *ADMIN], {}),
+    ("resource-add", ["resource", "add", "rep", "--class", "managerial", "--group", "manager-reports", *ADMIN], {}),
+    ("check-as", ["check", "--as", "alice", "--resource", "rep", "--level", "read", "--now", T0], {}),
+    ("menu-as", ["menu", "--as", "alice", "--json", "--now", T0], {}),
+    ("audit-tail-as", ["audit", "tail", "--as", "nobody", "--now", T0], {}),
+]
+
 # (name, method, target, body or None, authenticated as root)
 HTTP_CASES = [
     ("menu-anonymous", "GET", "/api/menu", None, False),
@@ -155,6 +166,10 @@ HTTP_CASES = [
     ("audit-bad-limit", "GET", "/api/admin/audit?limit=-1", None, True),
     ("audit-limit-arabic-indic-digit", "GET", "/api/admin/audit?limit=%D9%A3", None, True),
     ("audit-limit-word", "GET", "/api/admin/audit?limit=abc", None, True),
+    ("create-grant-unknown-field", "POST", "/api/admin/grants", {"user_id": "carol", "resource_id": "monthly-report",
+                                                                 "level": "read", "expires": "2026-07-01T00:00:00Z"},
+     True),
+    ("patch-user-unknown-field", "PATCH", "/api/admin/users/carol", {"role": "manager", "stauts": "active"}, True),
     ("unknown-route", "GET", "/api/nowhere", None, False),
     ("wrong-method", "DELETE", "/api/menu", None, False),
     ("password-change", "POST", "/api/password/change", {"old_password": "rootpass1",
@@ -194,6 +209,10 @@ CORRUPT_CASES = [
     ("empty", lambda valid: b"", ["menu"]),
     ("not-utf8", lambda valid: b"\xff\xfe{}", ["menu"]),
     ("deep-nesting", lambda valid: b"[" * 100_000, ["menu"]),
+    ("unknown-grant-key", _edit("grants", value=[{
+        "expires": None, "grant_id": "g1", "user_id": "alice", "resource_id": "monthly-report", "level": "read",
+        "granted_by": "root", "granted_at": T0}]), ["menu"]),
+    ("unknown-config-key", _edit("config", "log_denial", value=False), ["menu"]),
 ]
 
 SOCKET_CASES = [
@@ -219,6 +238,11 @@ SOCKET_CASES = [
                                b"Authorization: Bearer two\r\nConnection: close\r\n\r\n"),
     ("malformed-request-line", b"GARBAGE\r\n\r\n"),
     ("bad-version", b"GET /api/menu HTTP/9.9\r\nHost: x\r\n\r\n"),
+    # A header line the stdlib does not read whole hides this Content-Length.
+    ("whitespace-before-colon", b"POST /api/logout HTTP/1.1\r\nHost: x\r\nContent-Length : 61\r\n\r\n"
+                                b"GET /api/admin/users HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"),
+    ("obs-fold", b"POST /api/logout HTTP/1.1\r\nHost: x\r\nX-A: 1\r\n Content-Length: 61\r\n\r\n"
+                 b"GET /api/admin/users HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"),
 ]
 
 
@@ -356,6 +380,7 @@ def run_cases() -> dict[str, bytes]:
     _cli_scenario(outputs, "cli", CLI_CASES, "cli.json")
     _cli_scenario(outputs, "cli-kdf-env", KDF_ENV_CASES, "kdf.json")
     _cli_scenario(outputs, "cli-refusal-order", REFUSAL_ORDER_CASES, "order.json")
+    _cli_scenario(outputs, "cli-unread-as", UNREAD_AS_CASES, "unread-as.json")
     _http_scenario(outputs)
     _corrupt_scenario(outputs)
     _socket_scenario(outputs)
