@@ -19,6 +19,8 @@ import re
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime
+from email.errors import (FirstHeaderLineIsContinuationDefect, InvalidHeaderDefect,
+                          MisplacedEnvelopeHeaderDefect, MissingHeaderBodySeparatorDefect)
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
@@ -326,6 +328,10 @@ class PolicyService:
 # Socket server adapter
 
 
+_HEADER_LINE_DEFECTS = (MissingHeaderBodySeparatorDefect, InvalidHeaderDefect, FirstHeaderLineIsContinuationDefect,
+                        MisplacedEnvelopeHeaderDefect)
+
+
 class _Handler(BaseHTTPRequestHandler):
     service: PolicyService  # assigned by make_server
     protocol_version = "HTTP/1.1"
@@ -335,10 +341,13 @@ class _Handler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     def _dispatch(self):
-        # The stdlib parser stops at a line it cannot read as a header (a space
-        # before the colon, no name) and glues an obs-fold onto the value above:
-        # a Content-Length sent may go unread, and the body read as a request.
-        if self.headers.defects or any("\n" in value for value in self.headers.values()):
+        # The stdlib parser drops or stops at a line it cannot read as a header
+        # (a space before the colon, no name, a fold with nothing above) and
+        # glues an obs-fold onto the value above: a Content-Length sent may go
+        # unread, and the body read as a request. Its other defects (a multipart
+        # Content-Type with no body, say) say nothing of the header lines.
+        if (any(isinstance(defect, _HEADER_LINE_DEFECTS) for defect in self.headers.defects)
+                or any("\n" in value for value in self.headers.values())):
             return self.send_error(400, "malformed header line")
         raw_length = (self.headers.get("Content-Length") or "0").strip()
         if "Transfer-Encoding" in self.headers:

@@ -72,7 +72,7 @@ CLI_CASES = [
                       *ADMIN], {}),
     ("resource-add-json", ["resource", "add", "staff-handbook", "--name", "Staff Handbook", "--class", "general",
                            "--group", "staff-menu", "--description", "rules", "--json", *ADMIN], {}),
-    ("resource-list", ["resource", "list", "--json", *ADMIN], {}),
+    ("resource-list", ["resource", "list", "--json", "--now", T0], {}),
     ("grant-add-json", ["grant", "add", "bob", "monthly-report", "--level", "read", "--expires",
                         "2026-07-01T00:00:00Z", "--json", *ADMIN], {}),
     ("grant-add-guest-write", ["grant", "add", "gina", "staff-handbook", "--level", "write", *ADMIN], {}),
