@@ -29,7 +29,9 @@ from typing import IO, Callable, Iterator, Mapping
 from .app import Gatekeeper, system_clock
 from .engine import ANONYMOUS, Principal
 from .errors import GatekeeperError, IoFailure
-from .model import AccessLevel, DataClass, MenuGroup, PolicyConfig, Resource, Role, SelfRegistrationMode, UserStatus
+from .model import (
+    AccessLevel, DataClass, MenuGroup, PolicyConfig, Resource, Role, SelfRegistrationMode, Session, UserStatus,
+)
 from .store import format_instant, parse_instant, store_lock, to_wire
 from .wire import _parse_count, decision_wire, menu_wire, public_user
 
@@ -108,16 +110,21 @@ def _locked(ctx: Ctx) -> Iterator[Gatekeeper]:
 
 
 @contextlib.contextmanager
-def _as_admin(args, ctx: Ctx) -> Iterator[tuple[Gatekeeper, Principal]]:
-    """Read the acting administrator's password, then take the store lock and
-    log them in; yield the engine and their principal, then log out."""
-    password = _auth_password(ctx, args.as_user)
+def _logged_in(ctx: Ctx, user_id: str, password: str) -> Iterator[tuple[Gatekeeper, Session]]:
+    """Take the store lock, then log ``user_id`` in for the block and out after it."""
     with _locked(ctx) as gk:
-        session = gk.login(args.as_user, password)
+        session = gk.login(user_id, password)
         try:
-            yield gk, gk.principal_for(session.user_id)
+            yield gk, session
         finally:
             gk.logout(session.token)
+
+
+@contextlib.contextmanager
+def _as_admin(args, ctx: Ctx) -> Iterator[tuple[Gatekeeper, Principal]]:
+    """Log the acting administrator in; yield the engine and their principal."""
+    with _logged_in(ctx, args.as_user, _auth_password(ctx, args.as_user)) as (gk, session):
+        yield gk, gk.principal_for(session.user_id)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +299,8 @@ def cmd_login(args, ctx: Ctx) -> int:
 def cmd_passwd_change(args, ctx: Ctx) -> int:
     old_password = _auth_password(ctx, args.as_user)
     new_password = args.new_password if args.new_password is not None else _prompt_secret("new password: ")
-    with _locked(ctx) as gk:
-        session = gk.login(args.as_user, old_password)
-        try:
-            gk.change_password(session.token, old_password, new_password)
-        finally:
-            gk.logout(session.token)
+    with _logged_in(ctx, args.as_user, old_password) as (gk, session):
+        gk.change_password(session.token, old_password, new_password)
     ctx.emit("password changed", {"changed": args.as_user})
     return 0
 
@@ -341,7 +344,7 @@ def cmd_serve(args, ctx: Ctx) -> int:
         server = make_server(gk, host, port)
     except OSError as exc:
         raise IoFailure(f"cannot listen on {host}:{port_text}: {exc}") from exc
-    print(f"serving on http://{host}:{port_text}", file=ctx.stdout)
+    print(f"serving on http://{host}:{port_text if port else server.server_address[1]}", file=ctx.stdout)
     ctx.stdout.flush()
     # SIGTERM stops the server like Ctrl-C; only the main thread may set a handler.
     in_main = threading.current_thread() is threading.main_thread()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import fcntl
+import itertools
 import json
 import os
 import tempfile
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .credentials import digest_from_wire, digest_to_wire
 from .errors import (
@@ -58,6 +59,7 @@ from .model import (
 
 STORE_VERSION = 1
 AUDIT_SUFFIX = ".audit.jsonl"
+_TAIL_BLOCK = 1 << 13  # bytes the audit reader reads per step back from the end of the file
 
 
 def format_instant(dt: datetime) -> str:
@@ -489,11 +491,25 @@ def store_lock(store_path: str | Path) -> Iterator[None]:
 # Audit log
 
 
-def _last_seq(lines: list[bytes]) -> int:
-    """The ``seq`` of the last line that is a JSON object with an integer
+def _newest_first(handle) -> Iterator[bytes]:
+    """An open binary file's lines, newest first, split at ``\\n`` and read back
+    from its end one ``_TAIL_BLOCK`` at a time; the first is empty unless the tail is torn."""
+    end = handle.seek(0, os.SEEK_END)
+    head = b""
+    while end:
+        start = max(0, end - _TAIL_BLOCK)
+        handle.seek(start)
+        head, *lines = (handle.read(end - start) + head).split(b"\n")
+        yield from reversed(lines)
+        end = start
+    yield head
+
+
+def _last_seq(newest_first: Iterable[bytes]) -> int:
+    """The ``seq`` of the newest line that is a JSON object with an integer
     ``seq``, whether or not it decodes as an event, so that a skipped line's
     number is never handed out again; 0 if there is none."""
-    for line in reversed(lines):
+    for line in newest_first:
         try:
             obj = json.loads(line.decode("utf-8"))
         except (ValueError, RecursionError):
@@ -515,21 +531,18 @@ def _decode_event(line: bytes) -> AuditEvent | None:
 class AuditLog:
     """Append-only log of sorted-key JSON lines, one per event, with strictly
     increasing sequence numbers; a line that does not decode is skipped.
-    Subclasses keep the lines: ``_lines()`` returns them, and ``_appending()``
-    holds the log for one append, brings ``_next_seq`` up to date, and yields
-    a writer of one line."""
-
-    _next_seq = 1
+    Subclasses keep the lines: ``_lines()`` yields them newest first, and
+    ``_appending()`` holds the log for one append and yields its last ``seq``
+    and a writer of one line."""
 
     def append(self, entry: AuditEntry, at: datetime) -> AuditEvent:
-        with self._appending() as write:
-            event = AuditEvent(seq=self._next_seq, at=at, actor=entry.actor, kind=entry.kind, detail=dict(entry.detail))
+        with self._appending() as (last_seq, write):
+            event = AuditEvent(seq=last_seq + 1, at=at, actor=entry.actor, kind=entry.kind, detail=dict(entry.detail))
             write(json.dumps(to_wire(event), sort_keys=True).encode("utf-8"))
-            self._next_seq += 1
         return event
 
     def events(self) -> list[AuditEvent]:
-        return [event for event in map(_decode_event, self._lines()) if event is not None]
+        return self.query()
 
     def query(
         self,
@@ -544,18 +557,19 @@ class AuditLog:
         most recent matches.  The lines are read newest first and decoded one
         at a time, so a limited query stops once it has its matches."""
         selected: list[AuditEvent] = []
-        for line in reversed(self._lines()):
-            if len(selected) == limit:
-                break
-            e = _decode_event(line)
-            if (
-                e is not None
-                and (kind is None or e.kind == kind)
-                and (actor is None or e.actor == actor)
-                and (since is None or e.at >= since)
-                and (until is None or e.at <= until)
-            ):
-                selected.append(e)
+        with contextlib.closing(self._lines()) as lines:
+            for line in lines:
+                if len(selected) == limit:
+                    break
+                e = _decode_event(line)
+                if (
+                    e is not None
+                    and (kind is None or e.kind == kind)
+                    and (actor is None or e.actor == actor)
+                    and (since is None or e.at >= since)
+                    and (until is None or e.at <= until)
+                ):
+                    selected.append(e)
         selected.reverse()
         return selected
 
@@ -566,47 +580,45 @@ class MemoryAuditLog(AuditLog):
     def __init__(self):
         self._stored: list[bytes] = []
 
-    def _lines(self) -> list[bytes]:
-        return self._stored
+    def _lines(self) -> Iterator[bytes]:
+        yield from reversed(self._stored)
 
     def _appending(self):
-        return contextlib.nullcontext(self._stored.append)
+        return contextlib.nullcontext((_last_seq(reversed(self._stored)), self._stored.append))
 
 
 class FileAuditLog(AuditLog):
     """Each append is flushed and fsynced before returning, so the log is
     written ahead of the snapshot it describes.  A missing file has no lines.
-    An append holds the file's advisory lock, and numbers its line from the
-    file again when the file's size is not what this log's last append left,
-    so processes sharing the file never reuse a number."""
+    An append holds the file's advisory lock and numbers its line from the
+    file's last numbered line, so processes sharing the file never reuse a
+    number."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._size: int | None = None  # the file's size after this log's last append
 
-    def _lines(self) -> list[bytes]:
+    def _lines(self) -> Iterator[bytes]:
         try:
-            return self.path.read_bytes().splitlines()
+            with open(self.path, "rb") as handle:
+                yield from filter(None, _newest_first(handle))  # an empty line is never an event
         except FileNotFoundError:
-            return []
+            pass
         except OSError as exc:
             raise IoFailure(f"cannot read audit log {self.path}: {exc}") from exc
 
     @contextlib.contextmanager
-    def _appending(self) -> Iterator[Callable[[bytes], object]]:
+    def _appending(self) -> Iterator[tuple[int, Callable[[bytes], object]]]:
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a+b") as handle:
                 fcntl.flock(handle, fcntl.LOCK_EX)  # released when the file closes
-                if os.fstat(handle.fileno()).st_size != self._size:
-                    handle.seek(0)
-                    lines = handle.read().splitlines(keepends=True)
-                    self._next_seq = _last_seq(lines) + 1
-                    if lines and not lines[-1].endswith(b"\n"):
-                        handle.write(b"\n")  # a torn tail from a crash must not glue onto the new line
-                yield lambda line: handle.write(line + b"\n")
+                lines = _newest_first(handle)
+                torn = next(lines)
+                if torn:
+                    handle.write(b"\n")  # a torn tail from a crash must not glue onto the new line
+                    lines = itertools.chain((torn,), lines)
+                yield _last_seq(lines), lambda line: handle.write(line + b"\n")
                 handle.flush()
                 os.fsync(handle.fileno())
-                self._size = handle.tell()
         except OSError as exc:
             raise IoFailure(f"cannot append to audit log {self.path}: {exc}") from exc

@@ -584,6 +584,31 @@ class TestServeCommand:
             process.communicate(timeout=10)  # waits, and closes the pipes
 
 
+    def test_serve_on_port_0_prints_the_port_it_listens_on(self, booted):
+        import subprocess
+        import urllib.request
+
+        import gatekeeper
+
+        package_root = str(Path(gatekeeper.__file__).resolve().parent.parent)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "gatekeeper", "serve", "--bind", "127.0.0.1:0"],
+            env={**booted, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            line = process.stdout.readline().decode()  # printed once the socket listens
+            prefix = "serving on http://127.0.0.1:"
+            assert line.startswith(prefix) and line.endswith("\n"), line
+            port = int(line[len(prefix):])
+            assert port != 0
+            with urllib.request.urlopen(f"http://127.0.0.1:{port}/api/menu", timeout=10) as response:
+                assert response.status == 200
+        finally:
+            process.terminate()
+            process.communicate(timeout=10)
+
     @pytest.mark.parametrize("slid", [True, False], ids=["slid", "unslid"])
     def test_sigterm_saves_pending_slides_once_and_exits_0(self, booted, slid):
         import subprocess

@@ -47,7 +47,7 @@ def test_the_cases_repeat_byte_for_byte(tmp_path, monkeypatch):
     assert differential.compare(*runs) == [f"{len(runs[0])} of {len(runs[0])} outputs byte-identical"]
     outputs = runs[0]
     assert {key.split("/")[0] for key in outputs} == {
-        "cli", "cli-kdf-env", "cli-refusal-order", "cli-unread-as", "http", "corrupt", "socket"
+        "cli", "cli-kdf-env", "cli-refusal-order", "cli-unread-as", "audit-file", "http", "corrupt", "socket"
     }
     assert outputs["cli/bootstrap/exit"] == b"0"
     assert outputs["corrupt/unknown-alg/stderr"] == (

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import base64
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import random
@@ -12,11 +14,13 @@ import sys
 import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gatekeeper.store as store
 from gatekeeper.app import Gatekeeper
 from gatekeeper.errors import (
     GatekeeperError,
@@ -647,6 +651,10 @@ class TestAtomicSave:
         assert path.read_bytes() == before
 
 
+# Block sizes for the audit reader: small ones put block edges inside lines.
+TAIL_BLOCKS = (1, 7, 64, store._TAIL_BLOCK)
+
+
 @pytest.fixture(params=["memory", "file"])
 def audit_log(request, tmp_path):
     """Each audit log, empty; both must behave the same."""
@@ -685,24 +693,28 @@ class TestAuditLog:
         parsed = json.loads(lines[0])
         assert set(parsed) == {"seq", "at", "actor", "kind", "detail"}
 
-    def test_torn_tail_is_skipped(self, tmp_path):
-        path = tmp_path / "x.audit.jsonl"
-        log = FileAuditLog(path)
-        log.append(AuditEntry("root", "a", {}), NOW)
-        with open(path, "ab") as handle:
-            handle.write(b'{"seq": 2, "at": "2026-')  # crash mid-write
-        resumed = FileAuditLog(path)
-        assert [e.seq for e in resumed.events()] == [1]
+    def test_torn_tail_is_skipped(self, tmp_path, monkeypatch):
+        for block in TAIL_BLOCKS:
+            monkeypatch.setattr(store, "_TAIL_BLOCK", block)
+            path = tmp_path / f"{block}.audit.jsonl"
+            log = FileAuditLog(path)
+            log.append(AuditEntry("root", "a", {}), NOW)
+            with open(path, "ab") as handle:
+                handle.write(b'{"seq": 2, "at": "2026-')  # crash mid-write
+            resumed = FileAuditLog(path)
+            assert [e.seq for e in resumed.events()] == [1], block
 
-    def test_append_after_torn_tail_does_not_glue(self, tmp_path):
-        path = tmp_path / "x.audit.jsonl"
-        log = FileAuditLog(path)
-        log.append(AuditEntry("root", "a", {}), NOW)
-        with open(path, "ab") as handle:
-            handle.write(b'{"seq": 2, "at": "2026-')
-        resumed = FileAuditLog(path)
-        resumed.append(AuditEntry("root", "b", {}), NOW)
-        assert [(e.seq, e.kind) for e in resumed.events()] == [(1, "a"), (2, "b")]
+    def test_append_after_torn_tail_does_not_glue(self, tmp_path, monkeypatch):
+        for block in TAIL_BLOCKS:
+            monkeypatch.setattr(store, "_TAIL_BLOCK", block)
+            path = tmp_path / f"{block}.audit.jsonl"
+            log = FileAuditLog(path)
+            log.append(AuditEntry("root", "a", {}), NOW)
+            with open(path, "ab") as handle:
+                handle.write(b'{"seq": 2, "at": "2026-')
+            resumed = FileAuditLog(path)
+            resumed.append(AuditEntry("root", "b", {}), NOW)
+            assert [(e.seq, e.kind) for e in resumed.events()] == [(1, "a"), (2, "b")], block
 
     def test_audit_path_is_a_sibling_with_audit_suffix(self, tmp_path):
         assert audit_path_for(tmp_path / "mis.json") == tmp_path / "mis.audit.jsonl"
@@ -739,18 +751,27 @@ class TestAuditLog:
         assert [e.seq for e in log.events()] == [1, 2, 3, 4, 5, 6]
         assert log.append(AuditEntry("root", "b", {}), NOW).seq == 7
 
-    def test_an_append_reads_the_file_again_only_after_another_writer(self, tmp_path, monkeypatch):
-        import gatekeeper.store as store
-
+    def test_each_append_reads_only_the_last_line(self, tmp_path, monkeypatch):
         path = tmp_path / "x.audit.jsonl"
         shutil.copyfile(DATA / "audit_v1.jsonl", path)
-        reads, real_last_seq = [], store._last_seq
-        monkeypatch.setattr(store, "_last_seq", lambda lines: reads.append(len(lines)) or real_last_seq(lines))
+        consumed, real_last_seq = [], store._last_seq
+
+        def counted(lines):
+            consumed.append(0)
+            for line in lines:
+                consumed[-1] += 1
+                yield line
+
+        monkeypatch.setattr(store, "_last_seq", lambda lines: real_last_seq(counted(lines)))
         log = FileAuditLog(path)
         assert [log.append(AuditEntry("root", "a", {}), NOW).seq for _ in range(3)] == [7, 8, 9]
         assert FileAuditLog(path).append(AuditEntry("other", "b", {}), NOW).seq == 10
         assert log.append(AuditEntry("root", "c", {}), NOW).seq == 11
-        assert reads == [6, 9, 10]  # the first append of each log, then after the other's append
+        assert consumed == [1] * 5  # every append, whichever log made the one before
+        decoded, real_decode = [], store._decode_event
+        monkeypatch.setattr(store, "_decode_event", lambda line: decoded.append(line) or real_decode(line))
+        assert [e.seq for e in log.query(limit=2)] == [10, 11]
+        assert len(decoded) == 2
 
     def test_concurrent_appends_from_many_logs_never_reuse_a_seq(self, tmp_path):
         path = tmp_path / "x.audit.jsonl"
@@ -780,8 +801,6 @@ class TestAuditLog:
         assert [e.seq for e in FileAuditLog(path).events()] == list(range(1, 101))
 
     def test_opening_a_file_log_decodes_no_event(self, tmp_path, monkeypatch):
-        import gatekeeper.store as store
-
         path = tmp_path / "x.audit.jsonl"
         shutil.copyfile(DATA / "audit_v1.jsonl", path)
 
@@ -790,6 +809,18 @@ class TestAuditLog:
 
         monkeypatch.setattr(store, "_from_wire", refuse)
         assert FileAuditLog(path).append(AuditEntry("root", "b", {}), NOW).seq == 7
+
+    def test_building_a_file_log_or_opening_a_store_opens_no_audit_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "store.json"
+        save(make_doc(), path)
+        shutil.copyfile(DATA / "audit_v1.jsonl", audit_path_for(path))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the audit file was opened")
+
+        monkeypatch.setattr(store, "open", refuse, raising=False)
+        FileAuditLog(audit_path_for(path))
+        Gatekeeper.open(path)
 
 
 _INSTANTS = [PAST, NOW, FUTURE]
@@ -824,11 +855,14 @@ class TestNewestFirstQuery:
     filtering every event in order and keeping the last ``limit`` would."""
 
     @staticmethod
-    def whole_log_query(log, kind, actor, since, until, limit):
+    def whole_log_query(content, kind=None, actor=None, since=None, until=None, limit=None):
+        """The query answered from every line of ``content``, split and decoded
+        oldest first without the log's reader."""
         selected = [
             e
-            for e in log.events()
-            if (kind is None or e.kind == kind)
+            for e in map(store._decode_event, content.split(b"\n"))
+            if e is not None
+            and (kind is None or e.kind == kind)
             and (actor is None or e.actor == actor)
             and (since is None or e.at >= since)
             and (until is None or e.at <= until)
@@ -846,8 +880,11 @@ class TestNewestFirstQuery:
         since=st.sampled_from([None, *_INSTANTS]),
         until=st.sampled_from([None, *_INSTANTS]),
         limit=st.one_of(st.none(), st.integers(-2, 40)),
+        block=st.sampled_from(TAIL_BLOCKS),
     )
-    def test_matches_filtering_the_whole_log(self, tmp_path_factory, content, backend, kind, actor, since, until, limit):
+    def test_matches_filtering_the_whole_log(
+        self, tmp_path_factory, content, backend, kind, actor, since, until, limit, block
+    ):
         if backend == "memory":
             log = MemoryAuditLog()
             log._stored.extend(content.splitlines())
@@ -855,12 +892,53 @@ class TestNewestFirstQuery:
             path = tmp_path_factory.getbasetemp() / "differential.audit.jsonl"
             path.write_bytes(content)
             log = FileAuditLog(path)
-        got = log.query(kind=kind, actor=actor, since=since, until=until, limit=limit)
-        assert got == self.whole_log_query(log, kind, actor, since, until, limit)
+        with mock.patch.object(store, "_TAIL_BLOCK", block):
+            got = log.query(kind=kind, actor=actor, since=since, until=until, limit=limit)
+        assert got == self.whole_log_query(content, kind, actor, since, until, limit)
+        assert log.events() == self.whole_log_query(content)
+
+    @pytest.mark.parametrize("block", TAIL_BLOCKS)
+    def test_every_cut_of_a_history(self, tmp_path, monkeypatch, block):
+        """A crash can leave the log cut at any byte.  At every cut, a query
+        answers from the lines that survive whole, and the next append takes a
+        number above every one in the file and starts a line of its own."""
+        monkeypatch.setattr(store, "_TAIL_BLOCK", block)
+        path = tmp_path / "x.audit.jsonl"
+        history = FileAuditLog(path)
+        for actor, kind, detail, at in [
+            ("root", "a", {}, PAST),
+            ("ann", "b", {"user_id": "ann"}, NOW),
+            ("root", "b", {}, NOW),
+            ("ann", "a", {}, FUTURE),
+            ("root", "c", {"n": 1}, FUTURE),  # detail values must be strings: numbered, never decoded
+        ]:
+            history.append(AuditEntry(actor, kind, detail), at)
+        content = path.read_bytes()
+        for cut in range(len(content) + 1):
+            kept = content[:cut]
+            path.write_bytes(kept)
+            log = FileAuditLog(path)
+            for filters in ({}, {"kind": "b"}, {"actor": "root", "limit": 1}, {"since": NOW, "limit": 2}):
+                assert log.query(**filters) == self.whole_log_query(kept, **filters), (cut, filters)
+            numbered = [0]
+            for line in kept.split(b"\n"):
+                with contextlib.suppress(ValueError):
+                    numbered.append(json.loads(line)["seq"])
+            event = log.append(AuditEntry("root", "z", {}), NOW)
+            assert event.seq == max(numbered) + 1, cut
+            assert log.events() == [*self.whole_log_query(kept), event], cut
+
+    def test_a_query_closes_the_file_before_it_returns(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.audit.jsonl"
+        shutil.copyfile(DATA / "audit_v1.jsonl", path)
+        handles = []
+        monkeypatch.setattr(store, "open", lambda *args: handles.append(open(*args)) or handles[-1], raising=False)
+        assert [e.seq for e in FileAuditLog(path).query(limit=1)] == [6]
+        assert len(FileAuditLog(path).query()) == 6
+        assert len(handles) == 2
+        assert all(handle.closed for handle in handles)
 
     def test_a_limited_query_decodes_only_the_lines_it_needs(self, monkeypatch):
-        import gatekeeper.store as store
-
         log = MemoryAuditLog()
         for i in range(100):
             log.append(AuditEntry("root", "ab"[i % 2], {}), NOW)
@@ -869,6 +947,44 @@ class TestNewestFirstQuery:
         monkeypatch.setattr(store, "_decode_event", lambda line: decoded.append(line) or real(line))
         assert [e.seq for e in log.query(kind="a", limit=3)] == [95, 97, 99]
         assert len(decoded) == 6
+
+
+class TestNewestFirstReader:
+    """The audit reader yields a file's ``\\n``-separated lines newest first:
+    exactly ``content.split(b"\\n")`` reversed, whatever the block size."""
+
+    @staticmethod
+    def read(content: bytes) -> list[bytes]:
+        return list(store._newest_first(io.BytesIO(content)))
+
+    @pytest.mark.parametrize("block", TAIL_BLOCKS)
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda block: b"",
+            lambda block: b'{"seq": 1}\n{"seq": 2',
+            lambda block: b"x" * (3 * block + 1) + b"\nlast\n",
+            lambda block: b"ab\n" * block,
+            lambda block: b"a\rb\r\nc\n",
+        ],
+        ids=["empty-file", "no-final-newline", "line-longer-than-a-block", "size-a-multiple-of-the-block", "bare-cr"],
+    )
+    def test_edges(self, monkeypatch, shape, block):
+        monkeypatch.setattr(store, "_TAIL_BLOCK", block)
+        content = shape(block)
+        assert self.read(content) == content.split(b"\n")[::-1]
+
+    def test_a_bare_cr_does_not_end_a_line(self):
+        assert self.read(b"a\rb\n") == [b"", b"a\rb"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        content=st.lists(st.sampled_from([b"\n", b"a", b"bc", b"\r", b"x" * 70])).map(b"".join),
+        block=st.integers(1, 80),
+    )
+    def test_matches_splitting_the_whole_file(self, content, block):
+        with mock.patch.object(store, "_TAIL_BLOCK", block):
+            assert self.read(content) == content.split(b"\n")[::-1]
 
 
 class TestAuditRoundTripAllKinds:

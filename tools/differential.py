@@ -12,9 +12,11 @@ and the HTTP ``Date`` header.
 
 The cases are of four kinds:
 
-- ``cli/...``, ``cli-kdf-env/...``, ``cli-refusal-order/...`` and
-  ``cli-unread-as/...``: CLI invocations through ``cli.execute``, with and
-  without ``--json``; outputs stdout, stderr and the exit code;
+- ``cli/...``, ``cli-kdf-env/...``, ``cli-refusal-order/...``,
+  ``cli-unread-as/...`` and ``audit-file/...``: CLI invocations through
+  ``cli.execute``, with and without ``--json``; outputs stdout, stderr and
+  the exit code.  ``audit-file`` runs against an audit log with hand-written
+  lines at its end (see ``AUDIT_FILE_LINES``);
 - ``http/...``: requests through ``PolicyService.handle``; outputs status,
   headers and body;
 - ``corrupt/...``: CLI commands against hand-broken store files;
@@ -134,6 +136,24 @@ UNREAD_AS_CASES = [
     ("check-as", ["check", "--as", "alice", "--resource", "rep", "--level", "read", "--now", T0], {}),
     ("menu-as", ["menu", "--as", "alice", "--json", "--now", T0], {}),
     ("audit-tail-as", ["audit", "tail", "--as", "nobody", "--now", T0], {}),
+]
+
+# Lines written by hand at the end of a site's audit log, after its last
+# numbered line: an event longer than 64 KiB, a line whose ``seq`` counts but
+# which does not decode (detail values must be strings), and a tail torn
+# mid-write.  ``{seq}`` is the log's next number.
+AUDIT_FILE_LINES = (
+    '{{"actor": "root", "at": "{at}", "detail": {{"text": "{text}"}}, "kind": "note", "seq": {seq}}}\n'
+    '{{"actor": "root", "at": "{at}", "detail": {{"n": 1}}, "kind": "note", "seq": {skipped}}}\n'
+    '{{"actor": "root", "at": "2026-'
+)
+
+# Read the log back, write one line after it, read it again; all share one store.
+AUDIT_FILE_CASES = [
+    ("audit-tail-3", ["audit", "tail", "-n", "3", "--now", T0], {}),
+    ("audit-tail-json-kind", ["audit", "tail", "--json", "--kind", "note", "--now", T0], {}),
+    ("user-add", ["user", "add", "bea", "--role", "staff", "--password", "password1", *ADMIN], {}),
+    ("audit-tail", ["audit", "tail", "--now", T0], {}),
 ]
 
 # (name, method, target, body or None, authenticated as root)
@@ -304,6 +324,16 @@ def _site(store: str) -> None:
             raise SystemExit(f"could not build {store}: {outputs}")
 
 
+def _audit_file_scenario(outputs: dict) -> None:
+    store = "audit-file.json"
+    _site(store)
+    audit = Path(store).with_suffix(".audit.jsonl")
+    seq = json.loads(audit.read_bytes().splitlines()[-1])["seq"] + 1
+    with audit.open("a") as handle:
+        handle.write(AUDIT_FILE_LINES.format(at=T0, text="x" * 70_000, seq=seq, skipped=seq + 1))
+    _cli_scenario(outputs, "audit-file", AUDIT_FILE_CASES, store)
+
+
 def _http_scenario(outputs: dict) -> None:
     from gatekeeper.app import Gatekeeper
     from gatekeeper.web import HttpRequest, PolicyService
@@ -381,6 +411,7 @@ def run_cases() -> dict[str, bytes]:
     _cli_scenario(outputs, "cli-kdf-env", KDF_ENV_CASES, "kdf.json")
     _cli_scenario(outputs, "cli-refusal-order", REFUSAL_ORDER_CASES, "order.json")
     _cli_scenario(outputs, "cli-unread-as", UNREAD_AS_CASES, "unread-as.json")
+    _audit_file_scenario(outputs)
     _http_scenario(outputs)
     _corrupt_scenario(outputs)
     _socket_scenario(outputs)
