@@ -493,11 +493,11 @@ def store_lock(store_path: str | Path) -> Iterator[None]:
 
 def _newest_first(handle) -> Iterator[bytes]:
     """An open binary file's lines, newest first, split at ``\\n`` and read back
-    from its end one ``_TAIL_BLOCK`` at a time; the first is empty unless the tail is torn."""
+    from its end in blocks of ``_TAIL_BLOCK`` or more; the first is empty unless the tail is torn."""
     end = handle.seek(0, os.SEEK_END)
     head = b""
     while end:
-        start = max(0, end - _TAIL_BLOCK)
+        start = max(0, end - max(_TAIL_BLOCK, len(head)))  # a line longer than a block doubles the read
         handle.seek(start)
         head, *lines = (handle.read(end - start) + head).split(b"\n")
         yield from reversed(lines)

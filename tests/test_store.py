@@ -974,8 +974,19 @@ class TestNewestFirstReader:
         content = shape(block)
         assert self.read(content) == content.split(b"\n")[::-1]
 
-    def test_a_bare_cr_does_not_end_a_line(self):
-        assert self.read(b"a\rb\n") == [b"", b"a\rb"]
+    def test_a_line_longer_than_a_block_is_read_in_doubling_steps(self, monkeypatch):
+        reads = []
+
+        class Counted(io.BytesIO):
+            def read(self, size=-1):
+                reads.append(size)
+                return super().read(size)
+
+        monkeypatch.setattr(store, "_TAIL_BLOCK", 8)
+        content = b"x" * 8000 + b"\nlast\n"
+        assert list(store._newest_first(Counted(content))) == content.split(b"\n")[::-1]
+        assert len(reads) < 15  # not one read, and one copy of the line so far, per 8 bytes
+        assert sum(reads) == len(content)
 
     @settings(max_examples=300, deadline=None)
     @given(
